@@ -412,6 +412,12 @@ void RunSuite(const Options& options) {
       BitmapToTensorU8Into(ad, 64, 3, 1.0f / 255.0f, 0, codes.data());
       g_sink += static_cast<float>(codes[0]);
     });
+    // The same preprocessing at the paper profile's 224x224x4 input.
+    std::vector<uint8_t> paper_codes(static_cast<size_t>(224) * 224 * 4);
+    bench("bitmap_to_tensor_u8_224x4", 30, 0, [&] {
+      BitmapToTensorU8Into(ad, 224, 4, 1.0f / 255.0f, 0, paper_codes.data());
+      g_sink += static_cast<float>(paper_codes[0]);
+    });
     // The perceptual hash behind dataset dedup and the serving engine's L2
     // near-duplicate probe (one AverageHash per L1 miss when enabled); it
     // reuses a thread-local 8x8 scratch instead of allocating per call.

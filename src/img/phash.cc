@@ -16,14 +16,13 @@ uint64_t AverageHash(const Bitmap& bitmap) {
   // was the only allocation on that path.
   thread_local Bitmap small;
   ResizeBilinearInto(bitmap, 8, 8, &small);
+  const uint8_t* rgba = small.data();
   int gray[64];
   int total = 0;
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      const Color c = small.GetPixel(x, y);
-      gray[y * 8 + x] = (static_cast<int>(c.r) * 299 + c.g * 587 + c.b * 114) / 1000;
-      total += gray[y * 8 + x];
-    }
+  for (int i = 0; i < 64; ++i) {
+    const uint8_t* c = rgba + 4 * i;
+    gray[i] = (static_cast<int>(c[0]) * 299 + c[1] * 587 + c[2] * 114) / 1000;
+    total += gray[i];
   }
   const int mean = total / 64;
   uint64_t hash = 0;

@@ -338,12 +338,6 @@ void SetGapCodesMode(GapCodesMode mode) { g_gap_codes_mode.store(mode); }
 
 GapCodesMode GetGapCodesMode() { return g_gap_codes_mode.load(); }
 
-void SetGapCodesEnabled(bool enabled) {
-  SetGapCodesMode(enabled ? GapCodesMode::kForceOn : GapCodesMode::kForceOff);
-}
-
-bool GapCodesEnabled() { return GetGapCodesMode() == GapCodesMode::kForceOn; }
-
 KernelPlan ChooseConvKernelPlan(int out_channels, int kernel, int stride, int pad,
                                 int in_width) {
   KernelPlan plan;  // panel_width defaults to the active tier's native width
@@ -587,11 +581,6 @@ void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b
   }
   gemm_internal::GemmPackedScalarEntry(m, n, k, a, packed_b, bias, epilogue, c, ldc,
                                        panel_width);
-}
-
-void GemmPackedNT(int64_t m, int n, int k, const float* a, const float* packed_b,
-                  const float* bias, float* c) {
-  GemmPackedEx(m, n, k, a, packed_b, bias, GemmEpilogue::kBias, c, n);
 }
 
 void GemmInt8PackedEx(int64_t m, const uint8_t* a, const Int8PackedFilters& packed,

@@ -288,10 +288,6 @@ void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b
                   const float* bias, GemmEpilogue epilogue, float* c, int64_t ldc,
                   int panel_width = GemmNativePanelWidth());
 
-// Compatibility wrapper: dense C (ldc == n), bias-only epilogue.
-void GemmPackedNT(int64_t m, int n, int k, const float* a, const float* packed_b,
-                  const float* bias, float* c);
-
 // ------------------------------------------------ implicit-GEMM conv view --
 //
 // The implicit path replaces the materialized im2col A matrix with a
@@ -502,11 +498,6 @@ bool DataflowRequantEnabled();
 enum class GapCodesMode : uint8_t { kAuto = 0, kForceOn = 1, kForceOff = 2 };
 void SetGapCodesMode(GapCodesMode mode);
 GapCodesMode GetGapCodesMode();
-
-// Bool compatibility wrappers: SetGapCodesEnabled maps true/false to
-// kForceOn/kForceOff; GapCodesEnabled reports whether the mode is kForceOn.
-void SetGapCodesEnabled(bool enabled);
-bool GapCodesEnabled();
 
 // Convenience one-shot GEMM: packs `b` (row-major [N x K]) into the local
 // arena and multiplies. When `pool` is non-null and the problem is large

@@ -34,7 +34,7 @@ class MaxPool2D : public Layer {
 // Collapses each (h, w) plane to a single value: the paper's final
 // global-average-pool before SoftMax (Fig. 3).
 //
-// GAP-on-codes (opt-in via SetGapCodesEnabled): averaging commutes with the
+// GAP-on-codes (SetGapCodesMode): averaging commutes with the
 // affine dequantization map, so with a calibrated input range eval-mode GAP
 // can terminate the zero-float code chain itself — int32 sums over the
 // uint8 codes, one dequantize per channel — instead of forcing the emitting

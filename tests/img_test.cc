@@ -2,7 +2,11 @@
 // formats and sizes), resize, drawing, perceptual hashing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "src/base/rng.h"
 #include "src/img/bitmap.h"
@@ -10,6 +14,7 @@
 #include "src/img/draw.h"
 #include "src/img/phash.h"
 #include "src/img/resize.h"
+#include "src/nn/gemm.h"
 
 namespace percival {
 namespace {
@@ -155,6 +160,170 @@ TEST(CodecTest, PifCompressesRuns) {
   Bitmap flat(64, 64, Color{100, 100, 100, 255});
   std::vector<uint8_t> bytes = EncodePif(flat);
   EXPECT_LT(bytes.size(), flat.byte_size() / 20);
+}
+
+// --- Separable resize parity against the per-pixel oracle ----------------
+//
+// The library's per-pixel bilinear resample and the two tensor conversions
+// built on it, kept verbatim from before the separable core replaced them.
+// This file is compiled with -ffp-contract=off (as is src/img/resize.cc), so
+// neither side may fuse a lerp's multiply and add.
+
+Bitmap OracleResizeBilinear(const Bitmap& source, int out_width, int out_height) {
+  Bitmap out(out_width, out_height);
+  const float x_scale = static_cast<float>(source.width()) / static_cast<float>(out_width);
+  const float y_scale = static_cast<float>(source.height()) / static_cast<float>(out_height);
+  for (int y = 0; y < out_height; ++y) {
+    const float sy = (static_cast<float>(y) + 0.5f) * y_scale - 0.5f;
+    const int y0 = std::clamp(static_cast<int>(std::floor(sy)), 0, source.height() - 1);
+    const int y1 = std::min(y0 + 1, source.height() - 1);
+    const float fy = std::clamp(sy - static_cast<float>(y0), 0.0f, 1.0f);
+    for (int x = 0; x < out_width; ++x) {
+      const float sx = (static_cast<float>(x) + 0.5f) * x_scale - 0.5f;
+      const int x0 = std::clamp(static_cast<int>(std::floor(sx)), 0, source.width() - 1);
+      const int x1 = std::min(x0 + 1, source.width() - 1);
+      const float fx = std::clamp(sx - static_cast<float>(x0), 0.0f, 1.0f);
+
+      const Color c00 = source.GetPixel(x0, y0);
+      const Color c10 = source.GetPixel(x1, y0);
+      const Color c01 = source.GetPixel(x0, y1);
+      const Color c11 = source.GetPixel(x1, y1);
+      auto lerp = [&](uint8_t a, uint8_t b, uint8_t c, uint8_t d) -> uint8_t {
+        const float top = static_cast<float>(a) + fx * (static_cast<float>(b) - a);
+        const float bottom = static_cast<float>(c) + fx * (static_cast<float>(d) - c);
+        return static_cast<uint8_t>(std::lround(top + fy * (bottom - top)));
+      };
+      out.SetPixel(x, y, Color{lerp(c00.r, c10.r, c01.r, c11.r), lerp(c00.g, c10.g, c01.g, c11.g),
+                               lerp(c00.b, c10.b, c01.b, c11.b),
+                               lerp(c00.a, c10.a, c01.a, c11.a)});
+    }
+  }
+  return out;
+}
+
+std::vector<float> OracleTensor(const Bitmap& source, int size, int channels) {
+  Bitmap scaled = (source.width() == size && source.height() == size)
+                      ? source
+                      : OracleResizeBilinear(source, size, size);
+  const uint8_t* src = scaled.data();
+  const int64_t pixels = static_cast<int64_t>(size) * size;
+  std::vector<float> out(static_cast<size_t>(pixels * channels));
+  for (int64_t p = 0; p < pixels; ++p) {
+    for (int c = 0; c < channels; ++c) {
+      out[p * channels + c] = static_cast<float>(src[p * 4 + c]) / 255.0f;
+    }
+  }
+  return out;
+}
+
+std::vector<uint8_t> OracleCodes(const Bitmap& source, int size, int channels, float scale,
+                                 int32_t zero_point) {
+  uint8_t lut[256];
+  const float inv_scale = 1.0f / scale;
+  for (int p = 0; p < 256; ++p) {
+    const float v = static_cast<float>(p) / 255.0f;
+    const int32_t q = zero_point + static_cast<int32_t>(std::nearbyint(v * inv_scale));
+    lut[p] = static_cast<uint8_t>(std::min(255, std::max(0, q)));
+  }
+  Bitmap scaled = (source.width() == size && source.height() == size)
+                      ? source
+                      : OracleResizeBilinear(source, size, size);
+  const uint8_t* src = scaled.data();
+  const int64_t pixels = static_cast<int64_t>(size) * size;
+  std::vector<uint8_t> out(static_cast<size_t>(pixels * channels));
+  for (int64_t p = 0; p < pixels; ++p) {
+    for (int c = 0; c < channels; ++c) {
+      out[p * channels + c] = lut[src[p * 4 + c]];
+    }
+  }
+  return out;
+}
+
+// Source shapes for one target: degenerate strips, the identity, a
+// leaderboard banner, a tall skyscraper, and seeded random up- and
+// down-scales.
+std::vector<std::pair<int, int>> ParitySources(int target, Rng& rng) {
+  std::vector<std::pair<int, int>> shapes = {{1, 1},   {1, 37},     {37, 1},
+                                             {target, target}, {728, 90}, {17, 400}};
+  for (int i = 0; i < 3; ++i) {
+    shapes.emplace_back(1 + static_cast<int>(rng.NextBelow(static_cast<uint64_t>(target))),
+                        1 + static_cast<int>(rng.NextBelow(static_cast<uint64_t>(target))));
+    shapes.emplace_back(target + 1 + static_cast<int>(rng.NextBelow(2 * target)),
+                        target + 1 + static_cast<int>(rng.NextBelow(2 * target)));
+  }
+  return shapes;
+}
+
+TEST(ResizeParityTest, SeparableCoreMatchesPerPixelOracle) {
+  Rng rng(2024);
+  const std::vector<ActivationQuant> quants = {
+      ComputeActivationQuant(0.0f, 1.0f), ComputeActivationQuant(0.0f, 0.75f),
+      ComputeActivationQuant(-0.5f, 2.5f), ComputeActivationQuant(-1.0f, 1.0f)};
+  int cases = 0;
+  for (const int target : {8, 32, 64, 224}) {
+    for (const auto& [w, h] : ParitySources(target, rng)) {
+      const Bitmap source = RandomBitmap(rng, w, h);
+      const std::string where = std::to_string(w) + "x" + std::to_string(h) + " -> " +
+                                std::to_string(target);
+
+      // A reused output bitmap holding stale pixels must be fully rewritten.
+      Bitmap resized(target, target, Color{7, 7, 7, 7});
+      ResizeBilinearInto(source, target, target, &resized);
+      ASSERT_EQ(resized, OracleResizeBilinear(source, target, target)) << where;
+      // Non-square, and a width whose rows end in a partial vector.
+      ASSERT_EQ(ResizeBilinear(source, target - 1, 5), OracleResizeBilinear(source, target - 1, 5))
+          << where << " (" << target - 1 << "x5)";
+
+      for (const int channels : {3, 4}) {
+        std::vector<float> floats(static_cast<size_t>(target) * target * channels);
+        BitmapToTensorInto(source, target, channels, floats.data());
+        ASSERT_EQ(floats, OracleTensor(source, target, channels)) << where << " c" << channels;
+
+        for (const ActivationQuant& quant : quants) {
+          std::vector<uint8_t> codes(floats.size());
+          BitmapToTensorU8Into(source, target, channels, quant.scale, quant.zero_point,
+                               codes.data());
+          ASSERT_EQ(codes,
+                    OracleCodes(source, target, channels, quant.scale, quant.zero_point))
+              << where << " c" << channels << " scale " << quant.scale << " zp "
+              << quant.zero_point;
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 4 * 12 * 2 * 4);
+}
+
+// A half-way value must round away from zero, as lround does: resampling a
+// 2-pixel row to 3 puts output column 1 exactly midway (fx = 0.5).
+TEST(ResizeParityTest, HalfwayValuesRoundUp) {
+  Bitmap source(2, 1, Color{0, 0, 0, 0});
+  source.SetPixel(1, 0, Color{1, 3, 255, 254});
+  EXPECT_EQ(ResizeBilinear(source, 3, 1).GetPixel(1, 0), (Color{1, 2, 128, 127}));
+  for (const int width : {3, 4, 5, 7, 8, 9, 16}) {
+    EXPECT_EQ(ResizeBilinear(source, width, 3), OracleResizeBilinear(source, width, 3))
+        << width;
+  }
+}
+
+TEST(BitmapTest, FillAndClearMatchPerPixelWrites) {
+  for (const auto& [w, h] : std::vector<std::pair<int, int>>{
+           {0, 0}, {0, 4}, {1, 1}, {3, 5}, {17, 13}, {64, 1}, {33, 33}}) {
+    for (const Color color : {Color{1, 2, 3, 4}, Color{0, 0, 0, 255}, Color{9, 9, 9, 9}}) {
+      Bitmap per_pixel(w, h, Color{200, 100, 50, 25});
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          per_pixel.SetPixel(x, y, color);
+        }
+      }
+      EXPECT_EQ(Bitmap(w, h, color), per_pixel) << w << "x" << h;
+
+      Bitmap cleared(w, h, Color{200, 100, 50, 25});
+      cleared.Clear(color);
+      EXPECT_EQ(cleared, per_pixel) << w << "x" << h;
+    }
+  }
 }
 
 TEST(ResizeTest, IdentityWhenSameSize) {

@@ -412,7 +412,7 @@ TEST(RequantAccuracyGuardTest, TopOneAgreementWithGapOnCodes) {
   int8_net.Forward(batch);
   const size_t links_without_gap = int8_net.RequantLinkCount();
 
-  SetGapCodesEnabled(true);  // kForceOn: links even this live-captured range
+  SetGapCodesMode(GapCodesMode::kForceOn);  // links even this live-captured range
   Tensor float_logits = float_net.Forward(batch);
   Tensor int8_logits = int8_net.Forward(batch);  // mode change forces a re-plan
   const size_t links_with_gap = int8_net.RequantLinkCount();
@@ -440,7 +440,7 @@ TEST(RequantAccuracyGuardTest, TopOneAgreementWithGapOnCodes) {
   EXPECT_EQ(int8_net.RequantLinkCount(), links_with_gap)
       << "kAuto did not link GAP for a trailer-supplied range";
   // ...and kForceOff is the documented opt-out back to the old default.
-  SetGapCodesEnabled(false);
+  SetGapCodesMode(GapCodesMode::kForceOff);
   int8_net.Forward(batch);
   EXPECT_EQ(int8_net.RequantLinkCount(), links_without_gap)
       << "kForceOff did not unlink GAP";
