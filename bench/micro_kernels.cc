@@ -1,7 +1,8 @@
 // Micro-benchmarks for the hot kernels: the conv GEMM engine (naive oracle
 // vs scalar tile kernel vs the compiled SIMD kernel, fused, threaded, and
-// int8-quantized variants), fire modules, full-network inference at both
-// profiles (train mode, eval mode, and int8), codec decode,
+// int8-quantized variants), fire modules, the zero-float plan's code-domain
+// max-pool and ReLU, full-network inference at both profiles (train mode,
+// eval mode, and int8), codec decode,
 // bitmap-to-tensor preprocessing, and filter-rule matching. The float and
 // int8 entries run on identical layers and inputs so BENCH_*.json tracks
 // the quantization multiplier across PRs.
@@ -30,6 +31,7 @@
 #include "src/nn/conv.h"
 #include "src/nn/fire.h"
 #include "src/nn/gemm.h"
+#include "src/nn/ops.h"
 #include "src/nn/serialize.h"
 #include "src/webgen/ad_network.h"
 #include "src/webgen/adgen.h"
@@ -352,6 +354,30 @@ void RunSuite(const Options& options) {
     SetDataflowRequantEnabled(true);
     bench("percival_forward_experiment_int8_zerofloat", 20, macs,
           [&] { g_sink += net.ForwardQuantized(view)[0]; });
+  }
+
+  {
+    // The zero-float plan's code transforms at deployed shapes: the paper
+    // profile's first 2x2/2 pool (after conv1) and its ReLU, and the
+    // experiment profile's first pool. The 32x32x16 row reads a prefix.
+    Rng rng(6);
+    std::vector<uint8_t> codes(static_cast<size_t>(112) * 112 * 64);
+    for (auto& v : codes) {
+      v = static_cast<uint8_t>(rng.NextBelow(256));
+    }
+    std::vector<uint8_t> out(codes.size());
+    bench("maxpool_codes_112x112x64", 50, 0, [&] {
+      MaxPoolCodes(codes.data(), 112, 112, 64, 2, 2, out.data());
+      g_sink += static_cast<float>(out[0]);
+    });
+    bench("maxpool_codes_32x32x16", 50, 0, [&] {
+      MaxPoolCodes(codes.data(), 32, 32, 16, 2, 2, out.data());
+      g_sink += static_cast<float>(out[0]);
+    });
+    bench("relu_codes_112x112x64", 50, 0, [&] {
+      ReluCodes(codes.data(), static_cast<int64_t>(codes.size()), 128, out.data());
+      g_sink += static_cast<float>(out[0]);
+    });
   }
 
   {

@@ -56,10 +56,8 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
   if (!eligible) {
     return;
   }
-  // Walk the layer list linking emitters to consumers. `codes_live` tracks
-  // whether layer i's input arrives as uint8 codes under the current plan.
+  // Walk the layer list linking emitters to consumers.
   size_t max_code_bytes = 0;
-  bool codes_live = false;
   size_t i = 0;
   while (i < layers_.size()) {
     bool linked = false;
@@ -87,7 +85,6 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
           max_code_bytes = std::max(
               max_code_bytes, static_cast<size_t>(dataflow_[t].out_shape.Elements()));
         }
-        codes_live = true;
         linked = true;
         i = j;  // the consumer decides next: extend the chain or break it
       }
@@ -95,11 +92,9 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
     if (!linked) {
       // Layer i runs unlinked: float layer, or a consumer that terminates
       // the chain (RunDataflow hands it the codes via ForwardQuantized).
-      codes_live = false;
       ++i;
     }
   }
-  (void)codes_live;
   if (max_code_bytes > 0) {
     code_buffers_[0].resize(max_code_bytes);
     code_buffers_[1].resize(max_code_bytes);

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "src/base/logging.h"
 #include "src/nn/gemm.h"
 
@@ -207,32 +211,39 @@ void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int ke
                   int stride, uint8_t* out) {
   const int out_h = ConvOutputSize(height, kernel, stride, 0);
   const int out_w = ConvOutputSize(width, kernel, stride, 0);
+  const int64_t row_bytes = static_cast<int64_t>(width) * channels;
   for (int oh = 0; oh < out_h; ++oh) {
     for (int ow = 0; ow < out_w; ++ow) {
+      // Pad 0 and the floor in ConvOutputSize put the last tap at
+      // ((size - k) / s) * s + k - 1 <= size - 1: every window is in bounds.
+      const uint8_t* window = in + static_cast<int64_t>(oh) * stride * row_bytes +
+                              static_cast<int64_t>(ow) * stride * channels;
       uint8_t* dst = out + (static_cast<int64_t>(oh) * out_w + ow) * channels;
-      bool first = true;
-      for (int kh = 0; kh < kernel; ++kh) {
-        const int ih = oh * stride + kh;
-        if (ih >= height) {
-          continue;
-        }
-        for (int kw = 0; kw < kernel; ++kw) {
-          const int iw = ow * stride + kw;
-          if (iw >= width) {
-            continue;
-          }
-          const uint8_t* src = in + (static_cast<int64_t>(ih) * width + iw) * channels;
-          if (first) {
-            std::memcpy(dst, src, static_cast<size_t>(channels));
-            first = false;
-          } else {
-            for (int c = 0; c < channels; ++c) {
-              if (src[c] > dst[c]) {
-                dst[c] = src[c];
-              }
-            }
+      int c = 0;
+#if defined(__SSE2__)
+      // One 16-channel block at a time: load the first tap, pmaxub the rest
+      // into it, store once.
+      for (; c + 16 <= channels; c += 16) {
+        __m128i best = _mm_loadu_si128(reinterpret_cast<const __m128i*>(window + c));
+        for (int kh = 0; kh < kernel; ++kh) {
+          const uint8_t* tap_row = window + kh * row_bytes + c;
+          for (int kw = kh == 0 ? 1 : 0; kw < kernel; ++kw) {
+            best = _mm_max_epu8(
+                best, _mm_loadu_si128(reinterpret_cast<const __m128i*>(tap_row + kw * channels)));
           }
         }
+        _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + c), best);
+      }
+#endif
+      for (; c < channels; ++c) {
+        uint8_t best = window[c];
+        for (int kh = 0; kh < kernel; ++kh) {
+          const uint8_t* tap_row = window + kh * row_bytes + c;
+          for (int kw = kh == 0 ? 1 : 0; kw < kernel; ++kw) {
+            best = std::max(best, tap_row[kw * channels]);
+          }
+        }
+        dst[c] = best;
       }
     }
   }

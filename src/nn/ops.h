@@ -63,9 +63,9 @@ void Col2Im(const float* columns, int height, int width, int channels, int kerne
 // out[i] = max(in[i], zero_point). `in == out` aliasing is allowed.
 void ReluCodes(const uint8_t* in, int64_t count, int32_t zero_point, uint8_t* out);
 
-// Max-pools one NHWC uint8 sample with edge-clipped windows (pad 0,
-// output size ConvOutputSize(dim, kernel, stride, 0)), matching
-// MaxPool2D::Forward. `out` must not alias `in`.
+// Max-pools one NHWC uint8 sample (pad 0, output size
+// ConvOutputSize(dim, kernel, stride, 0), so every window is in bounds),
+// matching MaxPool2D::Forward. `out` must not alias `in`.
 void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int kernel,
                   int stride, uint8_t* out);
 

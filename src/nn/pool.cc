@@ -56,19 +56,14 @@ Tensor MaxPool2D::Forward(const Tensor& input) {
           const float* in = input.SampleData(n);
           const int64_t sample_base = static_cast<int64_t>(n) * input.SampleElements();
           int64_t out_index = p * channels;
+          // Pad 0 and the floor in ConvOutputSize: every window is in bounds.
           for (int c = 0; c < channels; ++c) {
             float best = -std::numeric_limits<float>::infinity();
             int64_t best_index = 0;
             for (int kh = 0; kh < kernel_; ++kh) {
               const int ih = oh * stride_ + kh;
-              if (ih >= input_shape_.h) {
-                continue;
-              }
               for (int kw = 0; kw < kernel_; ++kw) {
                 const int iw = ow * stride_ + kw;
-                if (iw >= input_shape_.w) {
-                  continue;
-                }
                 const int64_t idx =
                     (static_cast<int64_t>(ih) * input_shape_.w + iw) * channels + c;
                 if (in[idx] > best) {

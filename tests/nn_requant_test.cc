@@ -2,8 +2,10 @@
 // plan: bit-exactness of GemmInt8PackedExU8 against the templated scalar
 // oracle on every compiled SIMD tier at both panel widths, the defining
 // identity (requant store == float store + QuantizeActivations, to the
-// byte), plan engagement/inertness across calibration states, bit-identical
-// logits between the zero-float plan and the float-staged int8 path, a
+// byte), the code transforms (MaxPoolCodes against the byte-loop oracle it
+// replaced, ReluCodes against max with the clamped zero point), plan
+// engagement/inertness across calibration states, bit-identical logits
+// between the zero-float plan and the float-staged int8 path, a
 // steady-state counter proof that a planned frame allocates no float
 // activation tensor and no heap between codes-in and logits-out, and the
 // 64-image float-vs-int8 accuracy guard re-run with the plan active.
@@ -11,6 +13,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "src/base/rng.h"
@@ -18,6 +22,8 @@
 #include "src/img/resize.h"
 #include "src/nn/gemm.h"
 #include "src/nn/network.h"
+#include "src/nn/ops.h"
+#include "src/nn/pool.h"
 #include "src/nn/tensor.h"
 #include "src/webgen/adgen.h"
 #include "src/webgen/contentgen.h"
@@ -147,6 +153,146 @@ TEST(RequantKernelTest, RequantEqualsFloatStorePlusQuantize) {
               << " scalar=" << force_scalar << " at " << i;
         }
       }
+    }
+  }
+}
+
+// ------------------------------------------------------ code transforms ---
+
+// The byte-at-a-time MaxPoolCodes the 16-channel pmaxub pass replaced, kept
+// verbatim as the oracle.
+void MaxPoolCodesOracle(const uint8_t* in, int height, int width, int channels, int kernel,
+                        int stride, uint8_t* out) {
+  const int out_h = ConvOutputSize(height, kernel, stride, 0);
+  const int out_w = ConvOutputSize(width, kernel, stride, 0);
+  for (int oh = 0; oh < out_h; ++oh) {
+    for (int ow = 0; ow < out_w; ++ow) {
+      uint8_t* dst = out + (static_cast<int64_t>(oh) * out_w + ow) * channels;
+      bool first = true;
+      for (int kh = 0; kh < kernel; ++kh) {
+        const int ih = oh * stride + kh;
+        if (ih >= height) {
+          continue;
+        }
+        for (int kw = 0; kw < kernel; ++kw) {
+          const int iw = ow * stride + kw;
+          if (iw >= width) {
+            continue;
+          }
+          const uint8_t* src = in + (static_cast<int64_t>(ih) * width + iw) * channels;
+          if (first) {
+            std::memcpy(dst, src, static_cast<size_t>(channels));
+            first = false;
+          } else {
+            for (int c = 0; c < channels; ++c) {
+              if (src[c] > dst[c]) {
+                dst[c] = src[c];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Uniform random codes over all 256 values, not clustered at a zero point.
+std::vector<uint8_t> RandomCodes(int64_t count, Rng& rng) {
+  std::vector<uint8_t> codes(static_cast<size_t>(count));
+  for (auto& v : codes) {
+    v = static_cast<uint8_t>(rng.NextU64() >> 56);
+  }
+  return codes;
+}
+
+struct PoolGeometry {
+  int kernel;
+  int stride;
+};
+constexpr PoolGeometry kPoolGeometries[] = {{1, 1}, {2, 2}, {2, 1}, {3, 2}, {3, 3}};
+
+// MaxPoolCodes must equal the byte loop on every channel count around the
+// 16-byte block (vector body only, tail only, both) and on odd and even
+// sizes, including every size where the floor in ConvOutputSize drops
+// trailing input rows or columns.
+TEST(CodeTransformTest, MaxPoolCodesMatchesByteLoopOracle) {
+  const int kSizes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 17, 31, 32, 55, 56, 111, 112};
+  Rng rng(1313);
+  int floor_dropped_cases = 0;
+  for (const int channels : {1, 3, 8, 15, 16, 17, 31, 64, 65, 256}) {
+    for (const PoolGeometry g : kPoolGeometries) {
+      for (const int height : kSizes) {
+        // Every height meets a random width, so odd/even pairs mix.
+        const int width = kSizes[rng.NextBelow(std::size(kSizes))];
+        if (height < g.kernel || width < g.kernel) {
+          continue;
+        }
+        if ((height - g.kernel) % g.stride != 0 || (width - g.kernel) % g.stride != 0) {
+          ++floor_dropped_cases;
+        }
+        const std::vector<uint8_t> in =
+            RandomCodes(static_cast<int64_t>(height) * width * channels, rng);
+        const int64_t out_size = static_cast<int64_t>(ConvOutputSize(height, g.kernel, g.stride, 0)) *
+                                 ConvOutputSize(width, g.kernel, g.stride, 0) * channels;
+        std::vector<uint8_t> got(static_cast<size_t>(out_size), 0xAA);
+        std::vector<uint8_t> want(static_cast<size_t>(out_size), 0x55);
+        MaxPoolCodes(in.data(), height, width, channels, g.kernel, g.stride, got.data());
+        MaxPoolCodesOracle(in.data(), height, width, channels, g.kernel, g.stride, want.data());
+        ASSERT_EQ(got, want) << height << "x" << width << "x" << channels << " k=" << g.kernel
+                             << " s=" << g.stride;
+      }
+    }
+  }
+  EXPECT_GT(floor_dropped_cases, 100) << "too few sizes where the floor drops input";
+}
+
+// The layer entry on a batch of 2: ForwardCodes equals quantizing the float
+// Forward of the dequantized input — max commutes with the monotone
+// quantization map, so the code path is exact, sample offsets included.
+TEST(CodeTransformTest, MaxPoolForwardCodesEqualsQuantizedFloatForward) {
+  const ActivationQuant quant{0.0371f, 37};
+  Rng rng(1314);
+  for (const int channels : {3, 16, 17, 64}) {
+    for (const PoolGeometry g : kPoolGeometries) {
+      MaxPool2D pool(g.kernel, g.stride);
+      pool.SetTrainingMode(false);
+      const TensorShape shape{2, 13, 10, channels};
+      const std::vector<uint8_t> codes = RandomCodes(shape.Elements(), rng);
+      Tensor dequantized(shape);
+      for (int64_t i = 0; i < dequantized.size(); ++i) {
+        dequantized[i] = quant.scale * static_cast<float>(codes[static_cast<size_t>(i)] -
+                                                          quant.zero_point);
+      }
+      const Tensor pooled = pool.Forward(dequantized);
+      std::vector<uint8_t> want(static_cast<size_t>(pooled.size()));
+      QuantizeActivations(pooled.data(), pooled.size(), quant, want.data());
+
+      std::vector<uint8_t> got(want.size(), 0xAA);
+      pool.ForwardCodes(QuantizedTensorView{codes.data(), shape, quant.scale, quant.zero_point},
+                        got.data());
+      ASSERT_EQ(got, want) << "c=" << channels << " k=" << g.kernel << " s=" << g.stride;
+    }
+  }
+}
+
+// ReluCodes is max(in, zp) with the zero point clamped to a code, in place
+// and out of place, for zero points outside [0, 255] too.
+TEST(CodeTransformTest, ReluCodesIsMaxWithClampedZeroPoint) {
+  Rng rng(1315);
+  for (const int32_t zero_point : {-3, 0, 1, 128, 254, 255, 300}) {
+    const uint8_t zp = static_cast<uint8_t>(std::clamp(zero_point, 0, 255));
+    for (const int64_t count : {0, 1, 15, 16, 17, 63, 1000}) {
+      const std::vector<uint8_t> in = RandomCodes(count, rng);
+      std::vector<uint8_t> want(in.size());
+      for (size_t i = 0; i < in.size(); ++i) {
+        want[i] = std::max(in[i], zp);
+      }
+      std::vector<uint8_t> out(in.size(), 0xAA);
+      ReluCodes(in.data(), count, zero_point, out.data());
+      EXPECT_EQ(out, want) << "out of place, zp=" << zero_point << " count=" << count;
+      std::vector<uint8_t> in_place = in;
+      ReluCodes(in_place.data(), count, zero_point, in_place.data());
+      EXPECT_EQ(in_place, want) << "in place, zp=" << zero_point << " count=" << count;
     }
   }
 }
