@@ -193,27 +193,6 @@ void RunSuite(const Options& options) {
     }
   }
 
-  // Layout experiment (ROADMAP): the identical 3x3 conv pinned to each
-  // activation layout, float and int8. kh-kw-c has won on every host
-  // measured — its per-tap contiguous gather beats the channel-strided
-  // c-outer one — which is why the planner's default stays put; these rows
-  // keep the experiment honest on new hosts.
-  for (const bool c_outer : {false, true}) {
-    Rng rng(1);
-    Conv2D conv(16, 32, 3, 1, 1, rng);
-    KernelPlan plan = conv.plan();
-    plan.layout = c_outer ? ActivationLayout::kCOuter : ActivationLayout::kKhKwC;
-    conv.SetKernelPlan(plan);
-    Tensor input = RandomTensor(TensorShape{1, 32, 32, 16}, 2);
-    const int64_t macs = conv.ForwardMacs(input.shape());
-    const std::string name =
-        std::string("conv3x3_layout_") + (c_outer ? "couter" : "khkwc");
-    bench(name + "_simd_32", 40, macs, [&] { g_sink += conv.Forward(input)[0]; });
-    conv.SetPrecision(Precision::kInt8);
-    bench(name + "_int8_32", 40, macs, [&] { g_sink += conv.Forward(input)[0]; });
-    conv.SetPrecision(Precision::kFloat32);
-  }
-
   // Gather experiment (ROADMAP item 1): the identical 3x3 conv pinned to
   // the materialized im2col panel vs the implicit in-place stream, float
   // and int8, across the deployment channel counts. Interior columns
@@ -265,8 +244,8 @@ void RunSuite(const Options& options) {
 
   // The planner's per-layer decisions for the experiment deployment profile
   // (int8 eval — the browser configuration) ride the same JSON so the
-  // layout/panel experiment is measured, not guessed: median_ms carries the
-  // chosen panel width, min_ms is 1 when the layer chose c-outer.
+  // panel/gather choices are measured, not guessed: median_ms (and min_ms)
+  // carry the chosen panel width, and 1 when the layer runs implicit.
   if (options.filter.empty()) {
     PercivalNetConfig config = ExperimentProfile();
     Network net = BuildPercivalNet(config);
@@ -279,7 +258,7 @@ void RunSuite(const Options& options) {
       t.reps = 1;
       t.name = "plan_" + row.layer + "_panel_width";
       t.median_ms = row.panel_width;
-      t.min_ms = row.c_outer ? 1 : 0;
+      t.min_ms = t.median_ms;
       report.Record(t);
       t.name = "plan_" + row.layer + "_implicit";
       t.median_ms = row.implicit ? 1 : 0;

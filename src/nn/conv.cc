@@ -147,8 +147,7 @@ void Conv2D::PlanKernels(const TensorShape& input) {
 }
 
 bool Conv2D::ImplicitEligible() const {
-  return plan_.gather == GatherPolicy::kImplicit && kernel_ > 1 &&
-         plan_.layout == ActivationLayout::kKhKwC;
+  return plan_.gather == GatherPolicy::kImplicit && kernel_ > 1;
 }
 
 bool Conv2D::ImplicitEligibleInt8() const {
@@ -195,9 +194,6 @@ void Conv2D::SetKernelPlan(const KernelPlan& plan) {
   PCHECK(ValidPanelWidth(plan.panel_width))
       << Name() << " panel width " << plan.panel_width << " not implemented by this build";
   plan_ = plan;
-  if (kernel_ == 1) {
-    plan_.layout = ActivationLayout::kKhKwC;  // the K orders coincide
-  }
   plan_pinned_ = true;
 }
 
@@ -205,9 +201,10 @@ void Conv2D::AppendKernelPlanRows(std::vector<KernelPlanRow>* out) const {
   KernelPlanRow row;
   row.layer = label_;
   row.panel_width = plan_.panel_width;
-  row.c_outer = plan_.layout == ActivationLayout::kCOuter;
-  row.implicit = plan_.gather == GatherPolicy::kImplicit;
   row.int8 = precision_ == Precision::kInt8;
+  // The gather that actually runs: an int8 conv with unaligned tap segments
+  // keeps the materialized gather even under an implicit plan.
+  row.implicit = row.int8 ? ImplicitEligibleInt8() : ImplicitEligible();
   row.u8_direct = AcceptsQuantizedInput();
   out->push_back(std::move(row));
 }
@@ -261,50 +258,12 @@ size_t Conv2D::ConsumeCalibration(const ActivationCalibration* entries, size_t c
   return 1;
 }
 
-namespace {
-
-// Permutes one flattened filter row from the storage order (kh, kw, c) into
-// the c-outer K order (c, kh, kw) — the same permutation the c-outer im2col
-// gathers apply to activation rows.
-template <typename T>
-void ReorderRowToCOuter(const T* src, int kernel, int channels, T* dst) {
-  const int taps = kernel * kernel;
-  for (int tap = 0; tap < taps; ++tap) {
-    for (int c = 0; c < channels; ++c) {
-      dst[c * taps + tap] = src[tap * channels + c];
-    }
-  }
-}
-
-}  // namespace
-
-const float* Conv2D::WeightRowsForLayout() {
-  if (plan_.layout != ActivationLayout::kCOuter || kernel_ == 1) {
-    return weights_.value.data();
-  }
-  const int row_len = kernel_ * kernel_ * in_channels_;
-  reordered_weights_.resize(static_cast<size_t>(weights_.value.size()));
-  for (int oc = 0; oc < out_channels_; ++oc) {
-    ReorderRowToCOuter(weights_.value.data() + static_cast<int64_t>(oc) * row_len, kernel_,
-                       in_channels_, reordered_weights_.data() + static_cast<int64_t>(oc) * row_len);
-  }
-  return reordered_weights_.data();
-}
-
-void Conv2D::ReleaseReorderScratch() {
-  reordered_weights_.clear();
-  reordered_weights_.shrink_to_fit();
-  reordered_codes_.clear();
-  reordered_codes_.shrink_to_fit();
-}
-
 const float* Conv2D::PackedFilters() {
   if (packed_version_ != weights_.version || !(packed_plan_ == plan_)) {
     const int row_len = kernel_ * kernel_ * in_channels_;
     packed_filters_.resize(PackedPanelFloats(out_channels_, row_len, plan_.panel_width));
-    PackFilterPanels(WeightRowsForLayout(), out_channels_, row_len, packed_filters_.data(),
+    PackFilterPanels(weights_.value.data(), out_channels_, row_len, packed_filters_.data(),
                      plan_.panel_width);
-    ReleaseReorderScratch();  // only the packed panels persist
     packed_version_ = weights_.version;
     packed_plan_ = plan_;
   }
@@ -320,7 +279,6 @@ const Int8PackedFilters& Conv2D::PackedFiltersInt8() {
   if (packed_int8_version_ != weights_.version || !(packed_int8_plan_ == plan_) ||
       packed_int8_weight_max_ != weight_max) {
     const int row_len = kernel_ * kernel_ * in_channels_;
-    const bool c_outer = plan_.layout == ActivationLayout::kCOuter && kernel_ > 1;
     const QuantizedWeights* pre = weights_.quantized.get();
     if (pre != nullptr && pre->version == weights_.version &&
         pre->weight_max <= weight_max &&
@@ -328,26 +286,13 @@ const Int8PackedFilters& Conv2D::PackedFiltersInt8() {
         pre->scales.size() == static_cast<size_t>(out_channels_)) {
       // Pre-quantized weights (PCVW v2 load): pack the exact serialized
       // codes — no requantization, and bit-identical int8 inference to the
-      // build that wrote them. Permuting the K order within a row changes
-      // neither the per-channel scale nor the row sum, so the c-outer plan
-      // preserves that bit-identity.
-      const int8_t* codes = pre->codes.data();
-      if (c_outer) {
-        reordered_codes_.resize(pre->codes.size());
-        for (int oc = 0; oc < out_channels_; ++oc) {
-          ReorderRowToCOuter(pre->codes.data() + static_cast<int64_t>(oc) * row_len, kernel_,
-                             in_channels_,
-                             reordered_codes_.data() + static_cast<int64_t>(oc) * row_len);
-        }
-        codes = reordered_codes_.data();
-      }
-      PackQuantizedFilterPanelsInt8(codes, pre->scales.data(), out_channels_, row_len,
-                                    &packed_filters_int8_, plan_.panel_width);
+      // build that wrote them.
+      PackQuantizedFilterPanelsInt8(pre->codes.data(), pre->scales.data(), out_channels_,
+                                    row_len, &packed_filters_int8_, plan_.panel_width);
     } else {
-      PackFilterPanelsInt8(WeightRowsForLayout(), out_channels_, row_len,
+      PackFilterPanelsInt8(weights_.value.data(), out_channels_, row_len,
                            &packed_filters_int8_, plan_.panel_width);
     }
-    ReleaseReorderScratch();  // only the packed panels persist
     packed_int8_version_ = weights_.version;
     packed_int8_plan_ = plan_;
     packed_int8_weight_max_ = weight_max;
@@ -450,13 +395,8 @@ void Conv2D::ForwardIntoFloat(const Tensor& input, GemmEpilogue epilogue, float*
           } else {
             arena.Reset();
             float* cols = arena.Alloc(static_cast<size_t>((r1 - r0) * row_len));
-            if (plan_.layout == ActivationLayout::kCOuter) {
-              Im2ColRowsCOuter(input.SampleData(n), input.shape().h, input.shape().w,
-                               in_channels_, kernel_, stride_, pad_, r0, r1, cols);
-            } else {
-              Im2ColRows(input.SampleData(n), input.shape().h, input.shape().w, in_channels_,
-                         kernel_, stride_, pad_, r0, r1, cols);
-            }
+            Im2ColRows(input.SampleData(n), input.shape().h, input.shape().w, in_channels_,
+                       kernel_, stride_, pad_, r0, r1, cols);
             a = cols;
           }
           GemmPackedEx(r1 - r0, out_channels_, row_len, a, packed, bias, epilogue, c, ldc,
@@ -691,7 +631,6 @@ void Conv2D::Int8ForwardOverCodes(const uint8_t* codes, const TensorShape& in_sh
   // A 1x1 conv whose channel count is already a multiple of the int8 K
   // unit needs no gather at all: the quantized input rows ARE the A rows.
   const bool direct_rows = identity_patches && k_padded == row_len;
-  const bool c_outer = plan_.layout == ActivationLayout::kCOuter && kernel_ > 1;
   const float* bias = bias_.value.data();
   InferenceParallelFor(
       total_rows, static_cast<int64_t>(row_len) * out_channels_,
@@ -721,9 +660,6 @@ void Conv2D::Int8ForwardOverCodes(const uint8_t* codes, const TensorShape& in_sh
                 std::memset(dst + row_len, pad_code,
                             static_cast<size_t>(k_padded - row_len));
               }
-            } else if (c_outer) {
-              Im2ColRowsU8COuter(sample, in_shape.h, in_shape.w, in_channels_, kernel_,
-                                 stride_, pad_, r0, r1, pad_code, k_padded, chunk);
             } else {
               Im2ColRowsU8(sample, in_shape.h, in_shape.w, in_channels_, kernel_,
                            stride_, pad_, r0, r1, pad_code, k_padded, chunk);

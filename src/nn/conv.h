@@ -97,7 +97,7 @@ class Conv2D : public Layer {
   void SetPrecision(Precision precision) override { precision_ = precision; }
   Precision precision() const { return precision_; }
 
-  // Kernel plan: panel width + activation layout the GEMM forward runs
+  // Kernel plan: panel width + gather policy the GEMM forward runs
   // under. PlanKernels (called by Network::PlanForward) picks it from the
   // layer shape + compiled SIMD tier; SetKernelPlan pins it explicitly for
   // A/B measurement — a pinned plan survives later PlanKernels calls
@@ -180,7 +180,7 @@ class Conv2D : public Layer {
                              const ActivationQuant& out_quant, OutT* out, int64_t ldc,
                              int64_t sample_stride);
   // True when the current plan + layer geometry support the implicit gather
-  // at all (multi-tap, kh-kw-c). The int8 path additionally requires the
+  // at all (multi-tap kernel). The int8 path additionally requires the
   // per-tap K segment to be kInt8KUnit-aligned so packed K groups never
   // straddle a tap boundary.
   bool ImplicitEligible() const;
@@ -192,7 +192,7 @@ class Conv2D : public Layer {
   void ForwardIntoInt8(const Tensor& input, GemmEpilogue epilogue, float* out, int64_t ldc,
                        int64_t sample_stride);
   // Shared tail of the int8 forwards: patch-gathers `codes` (whole-sample
-  // uint8 NHWC codes) per the plan's layout and runs the quantized GEMM,
+  // uint8 NHWC codes) into (kh, kw, c) rows and runs the quantized GEMM,
   // storing either dequantized floats (OutT = float; out_quant ignored) or
   // requantized consumer codes (OutT = uint8_t).
   template <typename OutT>
@@ -214,13 +214,6 @@ class Conv2D : public Layer {
   // and the int8 forward reproduces the serializing build bit-for-bit.
   const Int8PackedFilters& PackedFiltersInt8();
 
-  // Weight rows reordered into the plan's K order ((c, kh, kw) for
-  // kCOuter); the identity for kKhKwC and 1x1 kernels. The reorder buffer
-  // is pack-time scratch: callers (the two Packed* repackers) release it
-  // once the panels are packed.
-  const float* WeightRowsForLayout();
-  void ReleaseReorderScratch();
-
   int in_channels_;
   int out_channels_;
   int kernel_;
@@ -236,9 +229,9 @@ class Conv2D : public Layer {
   Tensor last_input_;
   std::vector<float> columns_;  // im2col buffer for one sample (naive/backward)
 
-  // Per-layer kernel plan (panel width + activation layout) the GEMM
-  // forwards and the pack caches run under. Defaults to the native panel
-  // width and kh-kw-c layout, i.e. the pre-planner behavior. `plan_pinned_`
+  // Per-layer kernel plan (panel width + gather policy) the GEMM forwards
+  // and the pack caches run under. Defaults to the native panel width and
+  // the materialized gather, i.e. the pre-planner behavior. `plan_pinned_`
   // marks an explicit SetKernelPlan choice that PlanKernels must not
   // overwrite.
   KernelPlan plan_;
@@ -262,11 +255,6 @@ class Conv2D : public Layer {
   uint64_t packed_int8_version_ = 0;
   KernelPlan packed_int8_plan_;
   int packed_int8_weight_max_ = 0;  // Int8WeightMax() the cache was packed under
-
-  // Scratch for weight rows permuted into the c-outer K order before
-  // packing (pack-time only, empty under kKhKwC).
-  std::vector<float> reordered_weights_;
-  std::vector<int8_t> reordered_codes_;
 
   // Whole-input uint8 codes for the quantized forward (quantized once per
   // forward; the per-chunk patch gather then moves bytes, not floats).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <mutex>
 #include <new>
 #include <thread>
@@ -22,7 +23,6 @@ std::atomic<ThreadPool*> g_inference_pool{nullptr};
 std::atomic<bool> g_gemm_default{true};
 std::atomic<bool> g_force_scalar{false};
 std::atomic<int> g_planner_panel_override{0};
-std::atomic<LayoutPolicy> g_planner_layout_policy{LayoutPolicy::kAuto};
 std::atomic<GatherPolicyMode> g_planner_gather_policy{GatherPolicyMode::kAuto};
 std::atomic<bool> g_dataflow_requant{true};
 std::atomic<GapCodesMode> g_gap_codes_mode{GapCodesMode::kAuto};
@@ -165,13 +165,13 @@ bool TierCompiled(SimdTier tier) {
     case SimdTier::kScalar:
       return true;
     case SimdTier::kSse2:
-      return table->gemm_packed != nullptr;
+      return table->gemm_packed_implicit != nullptr;
     case SimdTier::kSsse3:
     case SimdTier::kVnni:
-      return table->gemm_int8 != nullptr;
+      return table->gemm_int8_implicit != nullptr;
     case SimdTier::kAvx2:
     case SimdTier::kAvx512:
-      return table->gemm_packed != nullptr && table->gemm_int8 != nullptr;
+      return table->gemm_packed_implicit != nullptr && table->gemm_int8_implicit != nullptr;
   }
   return false;
 }
@@ -189,7 +189,7 @@ SimdTier ResolvedTier() {
 const GemmKernelTable* ResolveFloat() {
   for (int tier = static_cast<int>(ResolvedTier()); tier > 0; --tier) {
     const GemmKernelTable* table = TierTable(static_cast<SimdTier>(tier));
-    if (table != nullptr && table->gemm_packed != nullptr) {
+    if (table != nullptr && table->gemm_packed_implicit != nullptr) {
       return table;
     }
   }
@@ -199,7 +199,7 @@ const GemmKernelTable* ResolveFloat() {
 const GemmKernelTable* ResolveInt8() {
   for (int tier = static_cast<int>(ResolvedTier()); tier > 0; --tier) {
     const GemmKernelTable* table = TierTable(static_cast<SimdTier>(tier));
-    if (table != nullptr && table->gemm_int8 != nullptr) {
+    if (table != nullptr && table->gemm_int8_implicit != nullptr) {
       return table;
     }
   }
@@ -306,10 +306,6 @@ ScopedInferencePool::~ScopedInferencePool() { SetInferenceThreadPool(previous_);
 
 // ------------------------------------------------------------- planner --
 
-const char* LayoutName(ActivationLayout layout) {
-  return layout == ActivationLayout::kCOuter ? "c-outer" : "kh-kw-c";
-}
-
 const char* GatherPolicyName(GatherPolicy policy) {
   return policy == GatherPolicy::kImplicit ? "implicit" : "materialize";
 }
@@ -321,10 +317,6 @@ void SetPlannerPanelOverride(int width) {
 }
 
 int PlannerPanelOverride() { return g_planner_panel_override.load(); }
-
-void SetPlannerLayoutPolicy(LayoutPolicy policy) { g_planner_layout_policy.store(policy); }
-
-LayoutPolicy PlannerLayoutPolicy() { return g_planner_layout_policy.load(); }
 
 void SetPlannerGatherPolicy(GatherPolicyMode mode) { g_planner_gather_policy.store(mode); }
 
@@ -349,24 +341,11 @@ KernelPlan ChooseConvKernelPlan(int out_channels, int kernel, int stride, int pa
     // the 16-wide sub-tile halves the per-K-step panel loads and FMAs.
     plan.panel_width = kGemmTileNMin;
   }
-  const LayoutPolicy policy = PlannerLayoutPolicy();
-  if (kernel > 1) {
-    if (policy == LayoutPolicy::kForceCOuter) {
-      plan.layout = ActivationLayout::kCOuter;
-    } else if (policy == LayoutPolicy::kAuto) {
-      // Measured default: kh-kw-c. The c-outer gather trades the per-tap
-      // contiguous memcpy for channel-strided scalar loads, which loses on
-      // NHWC inputs at every channel count tried (see the
-      // conv3x3_layout_* rows in BENCH_micro_kernels.json).
-      plan.layout = ActivationLayout::kKhKwC;
-    }
-  }
   if (kernel > 1) {
     const GatherPolicyMode gather_mode = PlannerGatherPolicy();
     if (gather_mode == GatherPolicyMode::kForceImplicit) {
       plan.gather = GatherPolicy::kImplicit;
-    } else if (gather_mode == GatherPolicyMode::kAuto &&
-               plan.layout == ActivationLayout::kKhKwC) {
+    } else if (gather_mode == GatherPolicyMode::kAuto) {
       // Implicit pays off when the interior run — the output columns that
       // see all kw taps in bounds — is at least one full column tile wide
       // on every tier (the 16-wide sub-panel kernels tile 8 columns).
@@ -566,6 +545,30 @@ static_assert(kGemmTileM == 4, "the tile kernels are written for 4-row tiles");
 static_assert(kGemmTileNMin == 16 && kGemmTileNMax == 32,
               "the tile kernels implement panel widths 16 and 32");
 
+namespace {
+
+constexpr int64_t kDenseViewOffsets[1] = {0};
+
+// A dense row-major A[m x row_len] as the one-segment implicit view: one
+// output row (oh = 0) whose m interior columns are the A rows, row_len
+// elements apart, so output column i lands at c + i*ldc like a dense row.
+template <typename T>
+ImplicitConvView<T> DenseView(const T* a, int64_t m, int row_len) {
+  PCHECK_LE(m, std::numeric_limits<int>::max()) << "GEMM rows exceed the view's int run";
+  ImplicitConvView<T> view;
+  view.base = a;
+  view.offsets = kDenseViewOffsets;
+  view.zero_row = a;  // never read: the one segment is never a pad tap
+  view.segments = 1;
+  view.seg_len = row_len;
+  view.col_stride = row_len;
+  view.run_w = static_cast<int>(m);
+  view.oh_end = 1;
+  return view;
+}
+
+}  // namespace
+
 void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b,
                   const float* bias, GemmEpilogue epilogue, float* c, int64_t ldc,
                   int panel_width) {
@@ -575,7 +578,8 @@ void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b
   if (!GemmForceScalar()) {
     const GemmKernelTable* table = ResolveFloat();
     if (table != nullptr) {
-      table->gemm_packed(m, n, k, a, packed_b, bias, epilogue, c, ldc, panel_width);
+      table->gemm_packed_implicit(DenseView(a, m, k), n, packed_b, bias, epilogue, c, ldc,
+                                  panel_width);
       return;
     }
   }
@@ -593,7 +597,8 @@ void GemmInt8PackedEx(int64_t m, const uint8_t* a, const Int8PackedFilters& pack
   if (!GemmForceScalar()) {
     const GemmKernelTable* table = ResolveInt8();
     if (table != nullptr) {
-      table->gemm_int8(m, a, packed, quant, bias, epilogue, c, ldc);
+      table->gemm_int8_implicit(DenseView(a, m, packed.k_padded), packed, quant, bias,
+                                epilogue, c, ldc);
       return;
     }
   }
@@ -612,7 +617,8 @@ void GemmInt8PackedExU8(int64_t m, const uint8_t* a, const Int8PackedFilters& pa
   if (!GemmForceScalar()) {
     const GemmKernelTable* table = ResolveInt8();
     if (table != nullptr) {
-      table->gemm_int8_u8(m, a, packed, quant, bias, epilogue, out_quant, c, ldc);
+      table->gemm_int8_implicit_u8(DenseView(a, m, packed.k_padded), packed, quant, bias,
+                                   epilogue, out_quant, c, ldc);
       return;
     }
   }
@@ -649,7 +655,7 @@ void GemmPackedImplicit(const ImplicitConvViewF& view, int n, const float* packe
   LogSimdPathOnce();
   if (!GemmForceScalar()) {
     const GemmKernelTable* table = ResolveFloat();
-    if (table != nullptr && table->gemm_packed_implicit != nullptr) {
+    if (table != nullptr) {
       table->gemm_packed_implicit(view, n, packed_b, bias, epilogue, c, ldc, panel_width);
       return;
     }
@@ -673,7 +679,7 @@ void GemmInt8PackedImplicit(const ImplicitConvViewU8& view, const Int8PackedFilt
   LogSimdPathOnce();
   if (!GemmForceScalar()) {
     const GemmKernelTable* table = ResolveInt8();
-    if (table != nullptr && table->gemm_int8_implicit != nullptr) {
+    if (table != nullptr) {
       table->gemm_int8_implicit(view, packed, quant, bias, epilogue, c, ldc);
       return;
     }
@@ -698,7 +704,7 @@ void GemmInt8PackedImplicitU8(const ImplicitConvViewU8& view, const Int8PackedFi
   LogSimdPathOnce();
   if (!GemmForceScalar()) {
     const GemmKernelTable* table = ResolveInt8();
-    if (table != nullptr && table->gemm_int8_implicit_u8 != nullptr) {
+    if (table != nullptr) {
       table->gemm_int8_implicit_u8(view, packed, quant, bias, epilogue, out_quant, c, ldc);
       return;
     }
@@ -747,8 +753,8 @@ void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float
     return;
   }
   const int64_t target_chunks = static_cast<int64_t>(pool->num_threads()) * 4;
-  // Round chunks to the tile height so only the final chunk runs the
-  // remainder kernel.
+  // Round chunks to the tile height so only the final chunk ends in an
+  // overlapped (recomputed) tile.
   int64_t chunk = std::max<int64_t>(kGemmTileM, (m + target_chunks - 1) / target_chunks);
   chunk = (chunk + kGemmTileM - 1) / kGemmTileM * kGemmTileM;
   const int chunks = static_cast<int>((m + chunk - 1) / chunk);

@@ -1,10 +1,15 @@
 // Register-blocked GEMM engine for the inference hot path.
 //
-// Convolutions lower to C[M x N] = A[M x K] * B[N x K]^T + bias, where A is
-// an im2col patch matrix (M = output pixels, K = kernel*kernel*in_channels)
-// and B holds one flattened filter per row (N = out_channels). The engine
-// packs B into column-panel form, then walks A in 4x16 (or 4x32) register
-// tiles whose inner loop is an explicitly vectorized multiply-accumulate.
+// Convolutions lower to C[M x N] = A[M x K] * B[N x K]^T + bias, where a
+// row of A is one output pixel's (kh, kw, c) patch (M = output pixels,
+// K = kernel*kernel*in_channels) and B holds one flattened filter per row
+// (N = out_channels). The engine packs B into column-panel form, then walks
+// A in 4x16 (or 4x32) register tiles whose inner loop is an explicitly
+// vectorized multiply-accumulate. Each SIMD tier carries ONE kernel family,
+// which reads A through an ImplicitConvView (below): an implicit conv
+// streams patch rows straight from the NHWC tensor, and a dense row-major
+// A — an im2col gather in scratch, or a 1x1 conv's input — is the
+// one-segment view of itself.
 // Every SIMD tier is compiled into the binary and the kernel is picked at
 // runtime by cpuid detection (see simd.h); large problems split their M
 // rows across the shared inference ThreadPool.
@@ -170,27 +175,13 @@ void LogSimdPathOnce();
 //
 // Per-layer kernel decisions. Every hot-path component consumes a
 // KernelPlan instead of a hard-coded choice: the GEMM pack + micro-kernels
-// honor the panel width, the im2col gathers and the weight packers honor
-// the activation layout, and Conv2D keys its pack caches on (weight
-// version, plan) so a plan flip repacks exactly once. Plans are chosen at
-// Network::PlanForward time from layer shape + the runtime-active SIMD tier
-// (see ChooseConvKernelPlan), and can be pinned globally for A/B
-// measurement. A SetSimdTierCap bumps the dispatch generation, which makes
-// Network re-plan (and layers repack) under the new tier's width and clamp.
-
-// K-order of an im2col patch row (and of the matching packed filter rows).
-//   * kKhKwC — (kh, kw, c): each kernel tap contributes `channels`
-//     contiguous floats, the layout NHWC gathers produce naturally.
-//   * kCOuter — (c, kh, kw): channel-outer, so a 1x1-dominated network's
-//     rare 3x3 layers see each channel's kernel window as one contiguous
-//     run. The GEMM is K-order-agnostic (A rows and B rows just have to
-//     agree); only the gather and the weight packer change.
-enum class ActivationLayout : uint8_t {
-  kKhKwC = 0,
-  kCOuter = 1,
-};
-
-const char* LayoutName(ActivationLayout layout);
+// honor the panel width, the conv forward honors the gather policy, and
+// Conv2D keys its pack caches on (weight version, plan) so a plan flip
+// repacks exactly once. Plans are chosen at Network::PlanForward time from
+// layer shape + the runtime-active SIMD tier (see ChooseConvKernelPlan),
+// and can be pinned globally for A/B measurement. A SetSimdTierCap bumps
+// the dispatch generation, which makes Network re-plan (and layers repack)
+// under the new tier's width and clamp.
 
 // How a conv feeds its patch matrix to the GEMM.
 //   * kMaterialize — Im2ColRows gathers every patch row into scratch before
@@ -214,33 +205,28 @@ const char* GatherPolicyName(GatherPolicy policy);
 inline constexpr int kImplicitMinInteriorRun = 8;
 
 struct KernelPlan {
-  ActivationLayout layout = ActivationLayout::kKhKwC;
   int panel_width = GemmNativePanelWidth();
   GatherPolicy gather = GatherPolicy::kMaterialize;
 };
 
 inline bool operator==(const KernelPlan& a, const KernelPlan& b) {
-  return a.layout == b.layout && a.panel_width == b.panel_width && a.gather == b.gather;
+  return a.panel_width == b.panel_width && a.gather == b.gather;
 }
 inline bool operator!=(const KernelPlan& a, const KernelPlan& b) { return !(a == b); }
 
-// Global pinning knobs for layout/panel A/B experiments (benches, tests,
+// Global pinning knobs for panel/gather A/B experiments (benches, tests,
 // README "how to pin"). 0 / kAuto restore the heuristic. They affect plans
 // chosen AFTER the call — re-run PlanKernels (or Network::PlanForward) to
 // apply them to existing layers.
 void SetPlannerPanelOverride(int width);  // 0 = auto; else 16 or 32
 int PlannerPanelOverride();
 
-enum class LayoutPolicy : uint8_t { kAuto = 0, kForceKhKwC = 1, kForceCOuter = 2 };
-void SetPlannerLayoutPolicy(LayoutPolicy policy);
-LayoutPolicy PlannerLayoutPolicy();
-
 // Gather-policy pin for materialized-vs-implicit A/B experiments. kAuto is
-// the heuristic in ChooseConvKernelPlan (implicit for a multi-tap kKhKwC
-// conv whose interior run is at least kImplicitMinInteriorRun columns, or of
-// unknown width); the force modes pin the plan field, though a forward still falls
-// back to the materialized gather when implicit preconditions fail (c-outer
-// layout, no interior columns, unaligned int8 K segments).
+// the heuristic in ChooseConvKernelPlan (implicit for a multi-tap conv
+// whose interior run is at least kImplicitMinInteriorRun columns, or of
+// unknown width); the force modes pin the plan field, though a forward still
+// falls back to the materialized gather when implicit preconditions fail (no
+// interior columns, unaligned int8 K segments).
 enum class GatherPolicyMode : uint8_t { kAuto = 0, kForceMaterialize = 1, kForceImplicit = 2 };
 void SetPlannerGatherPolicy(GatherPolicyMode mode);
 GatherPolicyMode PlannerGatherPolicy();
@@ -248,13 +234,9 @@ GatherPolicyMode PlannerGatherPolicy();
 // The planner heuristic: narrow layers (out_channels <= 16) take the
 // 16-wide sub-tile on builds whose native panel is wider — the wide panel
 // would spend >= half its lanes on zero padding — and everything else keeps
-// the native width. The layout default is kKhKwC: measured on NHWC inputs
-// (see BENCH_micro_kernels.json's conv3x3_layout_* rows), the (kh, kw, c)
-// gather's contiguous per-tap memcpys beat the strided channel-outer
-// gather, so kCOuter stays an explicitly pinned experiment. 1x1 kernels
-// normalize to kKhKwC (the two orders coincide).
+// the native width.
 //
-// The gather policy defaults to kImplicit for every multi-tap kKhKwC conv
+// The gather policy defaults to kImplicit for every multi-tap conv
 // whose interior (the output columns where all kw taps are in bounds, given
 // stride/pad/in_width) is non-empty: those columns stream straight from the
 // NHWC tensor and only the <= pad edge columns per side still gather. 1x1
@@ -283,7 +265,9 @@ enum class GemmEpilogue {
 // row-major [M x K] with contiguous rows; output row i starts at c + i*ldc
 // (ldc >= n), which lets a caller write into a channel slice of a wider
 // tensor. `panel_width` must match the width `packed_b` was packed at.
-// Runs on the calling thread.
+// Runs on the calling thread, through the tier's implicit kernel over the
+// one-segment view of A (M must fit an int); force-scalar runs the dense
+// scalar oracle instead.
 void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b,
                   const float* bias, GemmEpilogue epilogue, float* c, int64_t ldc,
                   int panel_width = GemmNativePanelWidth());
@@ -291,7 +275,7 @@ void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b
 // ------------------------------------------------ implicit-GEMM conv view --
 //
 // The implicit path replaces the materialized im2col A matrix with a
-// streaming view of one NHWC sample: a (kKhKwC-ordered) patch row for
+// streaming view of one NHWC sample: a (kh, kw, c)-ordered patch row for
 // output pixel (oh, ow) is `segments` chunks of `seg_len` contiguous
 // elements — one per vertical kernel tap — and chunk s of the INTERIOR
 // columns (the ones where every horizontal tap is in bounds) lives at
@@ -308,7 +292,10 @@ void GemmPackedEx(int64_t m, int n, int k, const float* a, const float* packed_b
 // columns; output for (oh, col) lands at
 //   c + (oh - oh_begin) * c_row_stride + col * ldc.
 // Edge columns are the caller's job (conv.cc gathers just those through
-// the classic Im2ColRows path).
+// the classic Im2ColRows path). A dense row-major A[M x K] is the special
+// case segments = 1, seg_len = col_stride = K, offsets = {0}, run_w = M,
+// oh in [0, 1) — which is how the Gemm*PackedEx entry points reach the
+// same kernels.
 template <typename T>
 struct ImplicitConvView {
   const T* base = nullptr;          // one sample's NHWC activation base
@@ -327,8 +314,9 @@ using ImplicitConvViewU8 = ImplicitConvView<uint8_t>;
 
 // Implicit-GEMM float kernel: same contract as GemmPackedEx (panels,
 // epilogue, ldc slicing) with the A matrix replaced by the streaming view.
-// Results match the materialized path to the last ulp for finite weights —
-// identical per-row accumulation order, identical epilogue.
+// Results match GemmPackedEx over the materialized gather to the last ulp
+// for finite weights — identical per-row accumulation order, identical
+// epilogue.
 void GemmPackedImplicit(const ImplicitConvViewF& view, int n, const float* packed_b,
                         const float* bias, GemmEpilogue epilogue, float* c, int64_t ldc,
                         int panel_width = GemmNativePanelWidth());

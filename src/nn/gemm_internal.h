@@ -10,12 +10,12 @@
 // The scalar tile templates live here, inline, because BOTH sides need
 // them: gemm.cc instantiates them as the force-scalar oracle / no-SIMD
 // fallback (baseline flags), and every tier TU instantiates its own copies
-// for remainder rows and for panel widths it has no intrinsic tile for.
-// That per-TU duplication is deliberate — a tier kernel must never call
-// into baseline-compiled code mid-loop, and the int8 epilogue stays
-// bit-exact across copies because its accumulation is exact int32 and its
-// only compiler-discretion float step is pinned to a single rounding by the
-// explicit std::fma (see StoreInt8TileRow).
+// of the implicit ones for runs shorter than one tile and for panel widths
+// it has no intrinsic tile for. That per-TU duplication is deliberate — a
+// tier kernel must never call into baseline-compiled code mid-loop, and the
+// int8 epilogue stays bit-exact across copies because its accumulation is
+// exact int32 and its only compiler-discretion float step is pinned to a
+// single rounding by the explicit std::fma (see StoreInt8TileRow).
 #ifndef PERCIVAL_SRC_NN_GEMM_INTERNAL_H_
 #define PERCIVAL_SRC_NN_GEMM_INTERNAL_H_
 
@@ -37,18 +37,9 @@ struct GemmKernelTable {
   const char* int8_name = nullptr;
   int native_panel_width = kGemmTileNMin;
   int weight_max = 64;
-  void (*gemm_packed)(int64_t m, int n, int k, const float* a, const float* packed_b,
-                      const float* bias, GemmEpilogue ep, float* c, int64_t ldc,
-                      int panel_width) = nullptr;
-  void (*gemm_int8)(int64_t m, const uint8_t* a, const Int8PackedFilters& packed,
-                    const ActivationQuant& quant, const float* bias, GemmEpilogue ep,
-                    float* c, int64_t ldc) = nullptr;
-  void (*gemm_int8_u8)(int64_t m, const uint8_t* a, const Int8PackedFilters& packed,
-                       const ActivationQuant& quant, const float* bias, GemmEpilogue ep,
-                       const ActivationQuant& out_quant, uint8_t* c, int64_t ldc) = nullptr;
-  // Implicit-gather variants: registered exactly alongside their
-  // materialized counterparts (same tiers, same availability gates), so
-  // resolution never splits a kernel family across tiers.
+  // The GEMM kernels, one float and two int8 (float / requantized-u8
+  // store). They read A through an ImplicitConvView; gemm.cc hands dense
+  // A matrices over as one-segment views (see DenseView there).
   void (*gemm_packed_implicit)(const ImplicitConvViewF& view, int n, const float* packed_b,
                                const float* bias, GemmEpilogue ep, float* c, int64_t ldc,
                                int panel_width) = nullptr;
@@ -88,10 +79,9 @@ const GemmKernelTable& Table();
 namespace gemm_internal {
 
 // Scalar 4xPW tile kernel, templated on the panel width the packer used.
-// The oracle the parity tests (and SetGemmForceScalar) pit the intrinsic
-// kernels against, and the fallback for any (tier, panel width) pair with
-// no intrinsic tile. The accumulator array is small and fully unrolled, so
-// the compiler keeps it in vector registers through the K loop.
+// Shared by the dense oracle (TileRowsScalar) and the implicit scalar
+// tiles below. The accumulator array is small and fully unrolled, so the
+// compiler keeps it in vector registers through the K loop.
 template <int PW>
 inline void MicroKernel4xN(int k, const float* const a[kGemmTileM], const float* panel,
                            float acc[kGemmTileM][PW]) {
@@ -158,20 +148,20 @@ inline void StoreTileRow(const float* acc, const float* bias, GemmEpilogue ep, i
   }
 }
 
-// Handles everything the full-width intrinsic path does not: remainder rows
-// (m % 4) and the zero-padded partial panel at the right edge of C.
+// Dense scalar GEMM over all m rows: the independent oracle
+// SetGemmForceScalar runs for dense calls (and the no-SIMD fallback). No
+// tier kernel reaches it — their dense calls go through the implicit view.
 template <int PW>
-inline void TileRowsScalar(int64_t row_begin, int64_t row_end, int panel_begin,
-                           int panel_end, int n, int k, const float* a,
-                           const float* packed_b, const float* bias, GemmEpilogue ep,
-                           float* c, int64_t ldc) {
-  int64_t row = row_begin;
-  for (; row + kGemmTileM <= row_end; row += kGemmTileM) {
+inline void TileRowsScalar(int64_t m, int n, int k, const float* a, const float* packed_b,
+                           const float* bias, GemmEpilogue ep, float* c, int64_t ldc) {
+  const int panels = (n + PW - 1) / PW;
+  int64_t row = 0;
+  for (; row + kGemmTileM <= m; row += kGemmTileM) {
     const float* rows[kGemmTileM];
     for (int i = 0; i < kGemmTileM; ++i) {
       rows[i] = a + (row + i) * k;
     }
-    for (int panel = panel_begin; panel < panel_end; ++panel) {
+    for (int panel = 0; panel < panels; ++panel) {
       const int n0 = panel * PW;
       const int width = std::min(PW, n - n0);
       const float* pb = packed_b + static_cast<size_t>(panel) * k * PW;
@@ -182,9 +172,9 @@ inline void TileRowsScalar(int64_t row_begin, int64_t row_end, int panel_begin,
       }
     }
   }
-  for (; row < row_end; ++row) {
+  for (; row < m; ++row) {
     const float* ar = a + row * k;
-    for (int panel = panel_begin; panel < panel_end; ++panel) {
+    for (int panel = 0; panel < panels; ++panel) {
       const int n0 = panel * PW;
       const int width = std::min(PW, n - n0);
       const float* pb = packed_b + static_cast<size_t>(panel) * k * PW;
@@ -199,11 +189,10 @@ inline void TileRowsScalar(int64_t row_begin, int64_t row_end, int panel_begin,
 inline void GemmPackedScalarEntry(int64_t m, int n, int k, const float* a,
                                   const float* packed_b, const float* bias, GemmEpilogue ep,
                                   float* c, int64_t ldc, int panel_width) {
-  const int panels = (n + panel_width - 1) / panel_width;
   if (panel_width == kGemmTileNMin) {
-    TileRowsScalar<kGemmTileNMin>(0, m, 0, panels, n, k, a, packed_b, bias, ep, c, ldc);
+    TileRowsScalar<kGemmTileNMin>(m, n, k, a, packed_b, bias, ep, c, ldc);
   } else {
-    TileRowsScalar<kGemmTileNMax>(0, m, 0, panels, n, k, a, packed_b, bias, ep, c, ldc);
+    TileRowsScalar<kGemmTileNMax>(m, n, k, a, packed_b, bias, ep, c, ldc);
   }
 }
 
@@ -250,16 +239,16 @@ inline void StoreInt8TileRow(const int32_t* acc, const Int8PackedFilters& packed
 // under the full ±127 codes — so SetGemmForceScalar parity holds to the
 // last epilogue ulp on every tier and at either panel width.
 template <int PW, typename Sink>
-inline void Int8TileRowsScalar(int64_t row_begin, int64_t row_end, const uint8_t* a,
-                               const Int8PackedFilters& packed, const ActivationQuant& quant,
-                               const float* bias, GemmEpilogue ep, typename Sink::Out* c,
-                               int64_t ldc, const Sink& sink) {
+inline void Int8TileRowsScalar(int64_t m, const uint8_t* a, const Int8PackedFilters& packed,
+                               const ActivationQuant& quant, const float* bias,
+                               GemmEpilogue ep, typename Sink::Out* c, int64_t ldc,
+                               const Sink& sink) {
   const int n = packed.n;
   const int k_padded = packed.k_padded;
   const int groups = k_padded / kInt8KUnit;
   const int panels = (n + PW - 1) / PW;
-  int64_t row = row_begin;
-  for (; row + kGemmTileM <= row_end; row += kGemmTileM) {
+  int64_t row = 0;
+  for (; row + kGemmTileM <= m; row += kGemmTileM) {
     const uint8_t* rows[kGemmTileM];
     for (int i = 0; i < kGemmTileM; ++i) {
       rows[i] = a + (row + i) * k_padded;
@@ -289,7 +278,7 @@ inline void Int8TileRowsScalar(int64_t row_begin, int64_t row_end, const uint8_t
       }
     }
   }
-  for (; row < row_end; ++row) {
+  for (; row < m; ++row) {
     const uint8_t* ar = a + row * k_padded;
     for (int panel = 0; panel < panels; ++panel) {
       const int n0 = panel * PW;
@@ -318,9 +307,9 @@ inline void GemmInt8Scalar(int64_t m, const uint8_t* a, const Int8PackedFilters&
                            const ActivationQuant& quant, const float* bias, GemmEpilogue ep,
                            typename Sink::Out* c, int64_t ldc, const Sink& sink) {
   if (packed.panel_width == kGemmTileNMin) {
-    Int8TileRowsScalar<kGemmTileNMin>(0, m, a, packed, quant, bias, ep, c, ldc, sink);
+    Int8TileRowsScalar<kGemmTileNMin>(m, a, packed, quant, bias, ep, c, ldc, sink);
   } else {
-    Int8TileRowsScalar<kGemmTileNMax>(0, m, a, packed, quant, bias, ep, c, ldc, sink);
+    Int8TileRowsScalar<kGemmTileNMax>(m, a, packed, quant, bias, ep, c, ldc, sink);
   }
 }
 
@@ -339,12 +328,12 @@ inline int32_t LoadKGroup(const uint8_t* p) {
 // ImplicitConvView in gemm.h): the K loop runs per vertical tap segment
 // with the accumulators carried across segments, which reproduces the
 // materialized path's per-row accumulation order exactly (the packed panel
-// and the patch row walk K in the same kKhKwC order). Float pad taps are
-// skipped — a materialized gather would multiply explicit zeros there —
+// and the patch row walk K in the same (kh, kw, c) order). Float pad taps
+// are skipped — a materialized gather would multiply explicit zeros there —
 // and u8 pad taps read the view's zero row, byte-identical to the pad
-// codes Im2ColRowsU8 writes. Like the other scalar tiles, these are both
-// the force-scalar oracle and the fallback for (tier, width) pairs with no
-// intrinsic implicit tile.
+// codes Im2ColRowsU8 writes. These are the force-scalar oracle of the
+// implicit entry points, and every tier's fallback for runs shorter than
+// one tile and for (tier, width) pairs with no intrinsic tile.
 
 // Columns [col_begin, col_end) of output row `oh`, float path.
 template <int PW>

@@ -63,8 +63,7 @@ struct ActivationCalibration {
 struct KernelPlanRow {
   std::string layer;
   int panel_width = 0;
-  bool c_outer = false;
-  bool implicit = false;  // plan streams activations in place (no im2col)
+  bool implicit = false;  // forward streams activations in place (no im2col)
   bool int8 = false;
   bool u8_direct = false;  // layer would accept a pre-quantized u8 input
 };
@@ -118,7 +117,7 @@ class Layer {
 
   // Kernel planning hook, called by Network::PlanForward with the layer's
   // input shape: layers with shape-sensitive kernel choices (Conv2D's panel
-  // width / activation layout) pick their plan here; containers propagate
+  // width / gather policy) pick their plan here; containers propagate
   // to children with the correct child shapes. Layers without plannable
   // kernels ignore it.
   virtual void PlanKernels(const TensorShape& input) { (void)input; }

@@ -210,14 +210,10 @@ std::vector<KernelPlanRow> Network::CollectKernelPlanRows() const {
 std::string Network::KernelPlanSummary() const {
   const std::vector<KernelPlanRow> rows = CollectKernelPlanRows();
   int narrow = 0;
-  int c_outer = 0;
   int implicit = 0;
   for (const KernelPlanRow& row : rows) {
     if (row.panel_width < GemmNativePanelWidth()) {
       ++narrow;
-    }
-    if (row.c_outer) {
-      ++c_outer;
     }
     if (row.implicit) {
       ++implicit;
@@ -225,7 +221,7 @@ std::string Network::KernelPlanSummary() const {
   }
   std::ostringstream out;
   out << "planner: " << rows.size() << " convs, " << narrow << " narrow-panel(16), "
-      << c_outer << " c-outer, " << implicit << " implicit-gather"
+      << implicit << " implicit-gather"
       << (AcceptsQuantizedInput() ? ", u8-direct input" : "");
   return out.str();
 }

@@ -47,7 +47,7 @@ class Network {
   bool AcceptsQuantizedInput() const;
 
   // Walks the layers once: each layer picks its kernel plan (panel width /
-  // activation layout — see Conv2D::PlanKernels) for its actual input
+  // gather policy — see Conv2D::PlanKernels) for its actual input
   // shape, then the worst-case per-layer scratch requirement is computed
   // and the *calling thread's* arena reserved up front — so the next
   // Forward() on this thread performs zero arena growth, including the very

@@ -105,72 +105,6 @@ void Im2ColRowsU8(const uint8_t* input, int height, int width, int channels, int
   }
 }
 
-void Im2ColRowsCOuter(const float* input, int height, int width, int channels, int kernel,
-                      int stride, int pad, int64_t row_begin, int64_t row_end,
-                      float* columns) {
-  const int out_w = ConvOutputSize(width, kernel, stride, pad);
-  const int row_len = kernel * kernel * channels;
-  const int taps = kernel * kernel;
-  NoteBytesGathered(static_cast<uint64_t>(row_end - row_begin) * row_len * sizeof(float));
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const int oh = static_cast<int>(r / out_w);
-    const int ow = static_cast<int>(r % out_w);
-    float* row = columns + (r - row_begin) * row_len;
-    for (int kh = 0; kh < kernel; ++kh) {
-      const int ih = oh * stride + kh - pad;
-      const bool row_valid = ih >= 0 && ih < height;
-      for (int kw = 0; kw < kernel; ++kw) {
-        const int iw = ow * stride + kw - pad;
-        const int tap = kh * kernel + kw;
-        if (!row_valid || iw < 0 || iw >= width) {
-          for (int c = 0; c < channels; ++c) {
-            row[c * taps + tap] = 0.0f;
-          }
-          continue;
-        }
-        const float* src = input + (static_cast<int64_t>(ih) * width + iw) * channels;
-        for (int c = 0; c < channels; ++c) {
-          row[c * taps + tap] = src[c];
-        }
-      }
-    }
-  }
-}
-
-void Im2ColRowsU8COuter(const uint8_t* input, int height, int width, int channels, int kernel,
-                        int stride, int pad, int64_t row_begin, int64_t row_end,
-                        uint8_t pad_value, int row_stride, uint8_t* columns) {
-  const int out_w = ConvOutputSize(width, kernel, stride, pad);
-  const int row_len = kernel * kernel * channels;
-  const int taps = kernel * kernel;
-  PCHECK_GE(row_stride, row_len);
-  NoteBytesGathered(static_cast<uint64_t>(row_end - row_begin) * row_len);
-  for (int64_t r = row_begin; r < row_end; ++r) {
-    const int oh = static_cast<int>(r / out_w);
-    const int ow = static_cast<int>(r % out_w);
-    uint8_t* row = columns + (r - row_begin) * row_stride;
-    for (int kh = 0; kh < kernel; ++kh) {
-      const int ih = oh * stride + kh - pad;
-      const bool row_valid = ih >= 0 && ih < height;
-      for (int kw = 0; kw < kernel; ++kw) {
-        const int iw = ow * stride + kw - pad;
-        const int tap = kh * kernel + kw;
-        if (!row_valid || iw < 0 || iw >= width) {
-          for (int c = 0; c < channels; ++c) {
-            row[c * taps + tap] = pad_value;
-          }
-          continue;
-        }
-        const uint8_t* src = input + (static_cast<int64_t>(ih) * width + iw) * channels;
-        for (int c = 0; c < channels; ++c) {
-          row[c * taps + tap] = src[c];
-        }
-      }
-    }
-    std::memset(row + row_len, pad_value, static_cast<size_t>(row_stride - row_len));
-  }
-}
-
 void Col2Im(const float* columns, int height, int width, int channels, int kernel, int stride,
             int pad, float* input_grad) {
   const int out_h = ConvOutputSize(height, kernel, stride, pad);

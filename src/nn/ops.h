@@ -35,19 +35,6 @@ void Im2ColRowsU8(const uint8_t* input, int height, int width, int channels, int
                   int stride, int pad, int64_t row_begin, int64_t row_end, uint8_t pad_value,
                   int row_stride, uint8_t* columns);
 
-// Channel-outer layout variants (ActivationLayout::kCOuter): patch rows are
-// written in (c, kh, kw) order instead of (kh, kw, c) — row element
-// (c*kernel + kh)*kernel + kw holds the tap (kh, kw) of channel c. The GEMM
-// only requires the A rows and the packed filter rows to share one K order,
-// so these pair with conv weights reordered by the same permutation (see
-// Conv2D's plan-keyed packing). For kernel == 1 both layouts coincide.
-void Im2ColRowsCOuter(const float* input, int height, int width, int channels, int kernel,
-                      int stride, int pad, int64_t row_begin, int64_t row_end, float* columns);
-
-void Im2ColRowsU8COuter(const uint8_t* input, int height, int width, int channels, int kernel,
-                        int stride, int pad, int64_t row_begin, int64_t row_end,
-                        uint8_t pad_value, int row_stride, uint8_t* columns);
-
 // Scatter-adds a column matrix back into an NHWC sample (inverse of Im2Col).
 // `input_grad` must be pre-zeroed by the caller.
 void Col2Im(const float* columns, int height, int width, int channels, int kernel, int stride,

@@ -3,7 +3,8 @@
 // weaker host the binary could land on, so this suite checks — without any
 // per-ISA build flavors — that each rung (a) reports the right kernel
 // names, panel width, and weight clamp, (b) agrees with the always-compiled
-// scalar oracle at both panel widths (bit-exactly for int8, to 1e-4 for
+// scalar oracle at both panel widths and at row counts around every tile
+// boundary, never storing outside C (bit-exactly for int8, to 1e-4 for
 // float), (c) produces bit-identical int8 results to every other rung on
 // shared saturation-safe packed data, and (d) degrades a wider-clamp PCVW
 // v2 artifact to float requantization instead of feeding ±127 codes to a
@@ -97,31 +98,65 @@ TEST(DispatchTest, CapBumpsGenerationAndForceScalarDoesNot) {
   EXPECT_EQ(SimdDispatchGeneration(), after_cap);
 }
 
-// Float kernels vs the scalar oracle, every rung, both packable widths.
+// Row counts on and around every tile height the kernels use (4-row tiles,
+// 8-row sub-tiles): runs shorter than one tile, exact multiples, and runs
+// that end in an overlapped final tile.
+constexpr int kParityRowCounts[] = {1, 3, 4, 5, 7, 8, 9, 16, 17, 33};
+
+// C buffers for the parity tests: m rows at ldc = n + kGapColumns plus one
+// trailing row, all pre-filled with a sentinel, so a kernel store outside
+// [0, m) x [0, n) — an overlapped tile spilling past the last row or a
+// panel store past n — shows up as a clobbered sentinel.
+constexpr int kGapColumns = 5;
+
+template <typename T>
+std::vector<T> SentinelBuffer(int m, int n, T sentinel) {
+  return std::vector<T>(static_cast<size_t>(m + 1) * (n + kGapColumns), sentinel);
+}
+
+template <typename T>
+void ExpectSentinelsSurvive(const std::vector<T>& c, int m, int n, T sentinel,
+                            const std::string& where) {
+  const int ldc = n + kGapColumns;
+  for (int row = 0; row <= m; ++row) {
+    for (int col = row < m ? n : 0; col < ldc; ++col) {
+      ASSERT_EQ(c[static_cast<size_t>(row) * ldc + col], sentinel)
+          << where << ": store outside the output at row " << row << " col " << col;
+    }
+  }
+}
+
+// Float kernels vs the scalar oracle, every rung, both packable widths,
+// every row count in kParityRowCounts, into a strided C.
 TEST(DispatchTest, FloatParityAcrossLadderAtBothWidths) {
   TierCapGuard guard;
-  const int m = 13;
   const int n = 37;
   const int k = 29;
-  Tensor a = RandomTensor(TensorShape{1, 1, m, k}, 1);
+  const int ldc = n + kGapColumns;
+  const float sentinel = -12345.0f;  // kBiasRelu outputs are >= 0
   Tensor b = RandomTensor(TensorShape{1, 1, n, k}, 2);
   Tensor bias = RandomTensor(TensorShape{1, 1, 1, n}, 3);
-  for (SimdTier tier : SupportedTiers()) {
-    SetSimdTierCap(tier);
-    for (const int width : {kGemmTileNMin, kGemmTileNMax}) {
-      std::vector<float> packed(PackedPanelFloats(n, k, width));
-      PackFilterPanels(b.data(), n, k, packed.data(), width);
-      std::vector<float> c_tier(static_cast<size_t>(m) * n, -1.0f);
-      std::vector<float> c_oracle(static_cast<size_t>(m) * n, 1.0f);
-      GemmPackedEx(m, n, k, a.data(), packed.data(), bias.data(),
-                   GemmEpilogue::kBiasRelu, c_tier.data(), n, width);
-      SetGemmForceScalar(true);
-      GemmPackedEx(m, n, k, a.data(), packed.data(), bias.data(),
-                   GemmEpilogue::kBiasRelu, c_oracle.data(), n, width);
-      SetGemmForceScalar(false);
-      for (size_t i = 0; i < c_tier.size(); ++i) {
-        ASSERT_NEAR(c_tier[i], c_oracle[i], 1e-4f)
-            << SimdTierName(tier) << " width " << width << " at " << i;
+  for (const int m : kParityRowCounts) {
+    Tensor a = RandomTensor(TensorShape{1, 1, m, k}, 1);
+    for (SimdTier tier : SupportedTiers()) {
+      SetSimdTierCap(tier);
+      for (const int width : {kGemmTileNMin, kGemmTileNMax}) {
+        const std::string where = std::string(SimdTierName(tier)) + " width " +
+                                  std::to_string(width) + " m " + std::to_string(m);
+        std::vector<float> packed(PackedPanelFloats(n, k, width));
+        PackFilterPanels(b.data(), n, k, packed.data(), width);
+        std::vector<float> c_tier = SentinelBuffer(m, n, sentinel);
+        std::vector<float> c_oracle = SentinelBuffer(m, n, sentinel);
+        GemmPackedEx(m, n, k, a.data(), packed.data(), bias.data(),
+                     GemmEpilogue::kBiasRelu, c_tier.data(), ldc, width);
+        SetGemmForceScalar(true);
+        GemmPackedEx(m, n, k, a.data(), packed.data(), bias.data(),
+                     GemmEpilogue::kBiasRelu, c_oracle.data(), ldc, width);
+        SetGemmForceScalar(false);
+        ExpectSentinelsSurvive(c_tier, m, n, sentinel, where);
+        for (size_t i = 0; i < c_tier.size(); ++i) {
+          ASSERT_NEAR(c_tier[i], c_oracle[i], 1e-4f) << where << " at " << i;
+        }
       }
     }
   }
@@ -130,39 +165,60 @@ TEST(DispatchTest, FloatParityAcrossLadderAtBothWidths) {
 // int8 kernels vs the scalar oracle: the accumulation is exact int32 and
 // the dequantize epilogue pins its one float contraction with std::fma in
 // the oracle (matching the tiers' hardware FMA), so parity is BIT-exact at
-// every rung and both widths.
+// every rung, both widths, every row count, and both sinks (float store and
+// requantize-to-u8 store).
 TEST(DispatchTest, Int8BitExactParityAcrossLadderAtBothWidths) {
   TierCapGuard guard;
-  const int m = 11;
   const int n = 37;
   const int k = 30;
+  const int ldc = n + kGapColumns;
+  const float sentinel = -12345.0f;
+  // kBiasRelu outputs requantize to codes >= the zero point 180, so the u8
+  // sentinel is unreachable by any in-bounds store.
+  const uint8_t sentinel_u8 = 17;
   Tensor b = RandomTensor(TensorShape{1, 1, n, k}, 4);
   Tensor bias = RandomTensor(TensorShape{1, 1, 1, n}, 5);
-  Rng code_rng(6);
   ActivationQuant quant;
   quant.scale = 0.03f;
   quant.zero_point = 131;
-  for (SimdTier tier : SupportedTiers()) {
-    SetSimdTierCap(tier);
-    for (const int width : {kGemmTileNMin, kGemmTileNMax}) {
-      Int8PackedFilters packed;
-      PackFilterPanelsInt8(b.data(), n, k, &packed, width);
-      std::vector<uint8_t> a(static_cast<size_t>(m) * packed.k_padded, 0);
-      Rng fill_rng(7);  // same codes at every tier
-      for (auto& v : a) {
-        v = static_cast<uint8_t>(fill_rng.NextBelow(256));
-      }
-      std::vector<float> c_tier(static_cast<size_t>(m) * n, -1.0f);
-      std::vector<float> c_oracle(static_cast<size_t>(m) * n, 1.0f);
-      GemmInt8PackedEx(m, a.data(), packed, quant, bias.data(), GemmEpilogue::kBias,
-                       c_tier.data(), n);
-      SetGemmForceScalar(true);
-      GemmInt8PackedEx(m, a.data(), packed, quant, bias.data(), GemmEpilogue::kBias,
-                       c_oracle.data(), n);
-      SetGemmForceScalar(false);
-      for (size_t i = 0; i < c_tier.size(); ++i) {
-        ASSERT_EQ(c_tier[i], c_oracle[i])
-            << SimdTierName(tier) << " width " << width << " at " << i;
+  ActivationQuant out_quant;
+  out_quant.scale = 0.1f;
+  out_quant.zero_point = 180;
+  for (const int m : kParityRowCounts) {
+    for (SimdTier tier : SupportedTiers()) {
+      SetSimdTierCap(tier);
+      for (const int width : {kGemmTileNMin, kGemmTileNMax}) {
+        const std::string where = std::string(SimdTierName(tier)) + " width " +
+                                  std::to_string(width) + " m " + std::to_string(m);
+        Int8PackedFilters packed;
+        PackFilterPanelsInt8(b.data(), n, k, &packed, width);
+        std::vector<uint8_t> a(static_cast<size_t>(m) * packed.k_padded, 0);
+        Rng fill_rng(7);  // same codes at every tier
+        for (auto& v : a) {
+          v = static_cast<uint8_t>(fill_rng.NextBelow(256));
+        }
+        std::vector<float> c_tier = SentinelBuffer(m, n, sentinel);
+        std::vector<float> c_oracle = SentinelBuffer(m, n, sentinel);
+        std::vector<uint8_t> u8_tier = SentinelBuffer(m, n, sentinel_u8);
+        std::vector<uint8_t> u8_oracle = SentinelBuffer(m, n, sentinel_u8);
+        GemmInt8PackedEx(m, a.data(), packed, quant, bias.data(), GemmEpilogue::kBias,
+                         c_tier.data(), ldc);
+        GemmInt8PackedExU8(m, a.data(), packed, quant, bias.data(), GemmEpilogue::kBiasRelu,
+                           out_quant, u8_tier.data(), ldc);
+        SetGemmForceScalar(true);
+        GemmInt8PackedEx(m, a.data(), packed, quant, bias.data(), GemmEpilogue::kBias,
+                         c_oracle.data(), ldc);
+        GemmInt8PackedExU8(m, a.data(), packed, quant, bias.data(), GemmEpilogue::kBiasRelu,
+                           out_quant, u8_oracle.data(), ldc);
+        SetGemmForceScalar(false);
+        ExpectSentinelsSurvive(c_tier, m, n, sentinel, where);
+        ExpectSentinelsSurvive(u8_tier, m, n, sentinel_u8, where + " u8");
+        for (size_t i = 0; i < c_tier.size(); ++i) {
+          ASSERT_EQ(c_tier[i], c_oracle[i]) << where << " at " << i;
+        }
+        for (size_t i = 0; i < u8_tier.size(); ++i) {
+          ASSERT_EQ(u8_tier[i], u8_oracle[i]) << where << " u8 at " << i;
+        }
       }
     }
   }

@@ -1,8 +1,6 @@
-// Tests for the layout-aware kernel planner: c-outer vs baseline activation
-// layout parity (float within tolerance, int8 bit-exact — integer
-// accumulation is K-order-invariant), 16- vs native-panel-width parity on
-// every kernel tier including the force-scalar oracle, plan-keyed
-// pack-cache invalidation, the planner heuristic's narrow-shape pick,
+// Tests for the kernel planner: 16- vs native-panel-width parity on every
+// kernel tier including the force-scalar oracle, plan-keyed pack-cache
+// invalidation, the planner heuristic's narrow-shape pick,
 // u8-direct preprocessing vs float-then-quantize bit-identity (kernel level
 // and end-to-end classifier decisions), and the 64-image accuracy guard
 // rerun under the planner's narrow-panel choice.
@@ -51,121 +49,9 @@ float MaxAbsDiff(const Tensor& a, const Tensor& b) {
 struct ScopedPlannerOverrides {
   ~ScopedPlannerOverrides() {
     SetPlannerPanelOverride(0);
-    SetPlannerLayoutPolicy(LayoutPolicy::kAuto);
+    SetPlannerGatherPolicy(GatherPolicyMode::kAuto);
   }
 };
-
-// --------------------------------------------------- c-outer layout parity --
-
-// The c-outer im2col row must be exactly the (kh, kw, c) -> (c, kh, kw)
-// permutation of the baseline row.
-TEST(LayoutTest, COuterIm2ColIsAPermutationOfBaseline) {
-  const int h = 7, w = 6, channels = 5, kernel = 3, stride = 2, pad = 1;
-  Tensor input = RandomTensor(TensorShape{1, h, w, channels}, 3);
-  const int out_h = ConvOutputSize(h, kernel, stride, pad);
-  const int out_w = ConvOutputSize(w, kernel, stride, pad);
-  const int64_t rows = static_cast<int64_t>(out_h) * out_w;
-  const int row_len = kernel * kernel * channels;
-  std::vector<float> base(static_cast<size_t>(rows) * row_len, -1.0f);
-  std::vector<float> c_outer(static_cast<size_t>(rows) * row_len, -2.0f);
-  Im2ColRows(input.data(), h, w, channels, kernel, stride, pad, 0, rows, base.data());
-  Im2ColRowsCOuter(input.data(), h, w, channels, kernel, stride, pad, 0, rows,
-                   c_outer.data());
-  const int taps = kernel * kernel;
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int tap = 0; tap < taps; ++tap) {
-      for (int c = 0; c < channels; ++c) {
-        ASSERT_EQ(base[r * row_len + tap * channels + c],
-                  c_outer[r * row_len + c * taps + tap])
-            << "row " << r << " tap " << tap << " channel " << c;
-      }
-    }
-  }
-
-  // The uint8 variant applies the same permutation (and the same pad code).
-  std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
-  for (int64_t i = 0; i < input.size(); ++i) {
-    codes[static_cast<size_t>(i)] = static_cast<uint8_t>(17 + 7 * i);
-  }
-  const int k_padded = Int8PaddedK(row_len);
-  std::vector<uint8_t> base_u8(static_cast<size_t>(rows) * k_padded, 0);
-  std::vector<uint8_t> c_outer_u8(static_cast<size_t>(rows) * k_padded, 0);
-  Im2ColRowsU8(codes.data(), h, w, channels, kernel, stride, pad, 0, rows, 99, k_padded,
-               base_u8.data());
-  Im2ColRowsU8COuter(codes.data(), h, w, channels, kernel, stride, pad, 0, rows, 99,
-                     k_padded, c_outer_u8.data());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int tap = 0; tap < taps; ++tap) {
-      for (int c = 0; c < channels; ++c) {
-        ASSERT_EQ(base_u8[r * k_padded + tap * channels + c],
-                  c_outer_u8[r * k_padded + c * taps + tap]);
-      }
-    }
-    for (int t = row_len; t < k_padded; ++t) {
-      ASSERT_EQ(c_outer_u8[r * k_padded + t], 99);  // pad tail
-    }
-  }
-}
-
-// Same weights, both layouts: float outputs agree to GEMM-parity tolerance
-// (the K order permutes the float summation), and both agree with the naive
-// oracle.
-TEST(LayoutTest, COuterConvMatchesBaselineFloat) {
-  Rng shape_rng(61);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int in_channels = 1 + static_cast<int>(shape_rng.NextBelow(12));
-    const int out_channels = 1 + static_cast<int>(shape_rng.NextBelow(2 * GemmNativePanelWidth() + 5));
-    const int kernel = shape_rng.NextBelow(2) == 0 ? 3 : 5;
-    const int pad = static_cast<int>(shape_rng.NextBelow(static_cast<uint64_t>(kernel / 2 + 1)));
-    const int side = kernel + static_cast<int>(shape_rng.NextBelow(9));
-
-    Rng rng_a(200 + static_cast<uint64_t>(trial));
-    Rng rng_b(200 + static_cast<uint64_t>(trial));
-    Conv2D base(in_channels, out_channels, kernel, 1, pad, rng_a);
-    Conv2D c_outer(in_channels, out_channels, kernel, 1, pad, rng_b);
-    KernelPlan plan = c_outer.plan();
-    plan.layout = ActivationLayout::kCOuter;
-    c_outer.SetKernelPlan(plan);
-
-    Tensor input = RandomTensor(TensorShape{2, side, side, in_channels},
-                                300 + static_cast<uint64_t>(trial));
-    Tensor expected = base.Forward(input);
-    Tensor actual = c_outer.Forward(input);
-    EXPECT_LE(MaxAbsDiff(expected, actual), 1e-4f) << c_outer.Name();
-
-    base.set_use_gemm(false);
-    Tensor oracle = base.Forward(input);
-    EXPECT_LE(MaxAbsDiff(oracle, actual), 1e-4f) << c_outer.Name() << " vs naive";
-  }
-}
-
-// In int8 the accumulator is an exact integer sum, so permuting K changes
-// nothing: c-outer must be BIT-identical to the baseline layout, on the
-// intrinsic kernels and on the force-scalar oracle.
-TEST(LayoutTest, COuterConvBitExactInt8) {
-  for (const bool force_scalar : {false, true}) {
-    Rng rng_a(73);
-    Rng rng_b(73);
-    Conv2D base(6, 20, 3, 1, 1, rng_a);
-    Conv2D c_outer(6, 20, 3, 1, 1, rng_b);
-    KernelPlan plan = c_outer.plan();
-    plan.layout = ActivationLayout::kCOuter;
-    c_outer.SetKernelPlan(plan);
-    base.SetPrecision(Precision::kInt8);
-    c_outer.SetPrecision(Precision::kInt8);
-
-    Tensor input = RandomTensor(TensorShape{1, 9, 9, 6}, 74);
-    SetGemmForceScalar(force_scalar);
-    Tensor expected = base.Forward(input);
-    Tensor actual = c_outer.Forward(input);
-    SetGemmForceScalar(false);
-    ASSERT_TRUE(expected.shape() == actual.shape());
-    for (int64_t i = 0; i < expected.size(); ++i) {
-      ASSERT_EQ(expected[i], actual[i])
-          << "int8 c-outer diverged at " << i << " (force_scalar=" << force_scalar << ")";
-    }
-  }
-}
 
 // ------------------------------------------------------ panel-width parity --
 
@@ -298,7 +184,7 @@ TEST(PlannerTest, NarrowShapesPickThe16WideTile) {
     EXPECT_EQ(narrow.plan().panel_width, GemmNativePanelWidth());
   }
   EXPECT_EQ(wide.plan().panel_width, GemmNativePanelWidth());
-  EXPECT_EQ(narrow.plan().layout, ActivationLayout::kKhKwC);
+  EXPECT_EQ(narrow.plan().gather, GatherPolicy::kMaterialize);
 
   // Fire planning hands each inner conv its true input shape.
   Rng fire_rng(22);
@@ -315,10 +201,10 @@ TEST(PlannerTest, NarrowShapesPickThe16WideTile) {
   wide.PlanKernels(shape);
   EXPECT_EQ(wide.plan().panel_width, kGemmTileNMin);
   SetPlannerPanelOverride(0);
-  SetPlannerLayoutPolicy(LayoutPolicy::kForceCOuter);
+  SetPlannerGatherPolicy(GatherPolicyMode::kForceImplicit);
   wide.PlanKernels(shape);
-  EXPECT_EQ(wide.plan().layout, ActivationLayout::kCOuter);
-  SetPlannerLayoutPolicy(LayoutPolicy::kAuto);
+  EXPECT_EQ(wide.plan().gather, GatherPolicy::kImplicit);
+  SetPlannerGatherPolicy(GatherPolicyMode::kAuto);
 
   // Plan rows surface the decisions for logging / bench JSON.
   std::vector<KernelPlanRow> rows;
@@ -337,40 +223,41 @@ TEST(PlannerTest, PinnedPlanSurvivesReplanning) {
   const TensorShape shape{1, 8, 8, 32};
   KernelPlan pinned;
   pinned.panel_width = kGemmTileNMin;
-  pinned.layout = ActivationLayout::kCOuter;
+  pinned.gather = GatherPolicy::kImplicit;
   conv.SetKernelPlan(pinned);
   conv.PlanKernels(shape);
   EXPECT_EQ(conv.plan().panel_width, kGemmTileNMin);
-  EXPECT_EQ(conv.plan().layout, ActivationLayout::kCOuter);
+  EXPECT_EQ(conv.plan().gather, GatherPolicy::kImplicit);
   conv.ClearKernelPlanPin();
   conv.PlanKernels(shape);
   EXPECT_EQ(conv.plan().panel_width, GemmNativePanelWidth());  // 64 channels -> native width
-  EXPECT_EQ(conv.plan().layout, ActivationLayout::kKhKwC);
+  // A 6-column interior is narrower than kImplicitMinInteriorRun.
+  EXPECT_EQ(conv.plan().gather, GatherPolicy::kMaterialize);
 }
 
 // Flipping the plan must invalidate the pack caches (stale panels packed at
-// another width or K order would produce garbage, not parity), while weight
+// another width would produce garbage, not parity), while weight
 // invalidation keeps working under a constant plan.
 TEST(PlannerTest, PlanKeyedPackCacheInvalidation) {
   Rng rng(31);
   Conv2D conv(8, 24, 3, 1, 1, rng);
   Tensor input = RandomTensor(TensorShape{1, 9, 9, 8}, 32, 0.0f, 1.0f);
 
-  // Float: warm the cache at the native width, then flip width and layout.
+  // Float: warm the cache at the native width, then flip width and gather.
   Tensor base = conv.Forward(input);
   KernelPlan plan;
   plan.panel_width = kGemmTileNMin;
   conv.SetKernelPlan(plan);
   EXPECT_LE(MaxAbsDiff(base, conv.Forward(input)), 1e-5f) << "narrow-panel repack";
-  plan.layout = ActivationLayout::kCOuter;
+  plan.gather = GatherPolicy::kImplicit;
   conv.SetKernelPlan(plan);
-  EXPECT_LE(MaxAbsDiff(base, conv.Forward(input)), 1e-4f) << "c-outer repack";
+  EXPECT_LE(MaxAbsDiff(base, conv.Forward(input)), 1e-5f) << "implicit-gather repack";
 
   // Int8: same dance, bit-exact expectations.
   conv.SetKernelPlan(KernelPlan{});
   conv.SetPrecision(Precision::kInt8);
   Tensor base_i8 = conv.Forward(input);
-  conv.SetKernelPlan(plan);  // narrow + c-outer at once
+  conv.SetKernelPlan(plan);  // narrow + implicit at once
   Tensor flipped_i8 = conv.Forward(input);
   for (int64_t i = 0; i < base_i8.size(); ++i) {
     ASSERT_EQ(base_i8[i], flipped_i8[i]);
