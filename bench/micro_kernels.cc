@@ -90,7 +90,7 @@ void RunSuite(const Options& options) {
     bench("conv3x3_gemm_simd" + suffix, reps, macs,
           [&] { g_sink += conv.Forward(input)[0]; });
     bench("conv3x3_gemm_simd_fused_relu" + suffix, reps, macs,
-          [&] { g_sink += conv.ForwardFused(input, GemmEpilogue::kBiasRelu)[0]; });
+          [&] { g_sink += conv.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu)[0]; });
 
     // Float-vs-int8 on the identical layer and input: the quantized path
     // includes per-forward activation range + quantization, so the GMAC/s
@@ -104,7 +104,7 @@ void RunSuite(const Options& options) {
     bench("conv3x3_gemm_int8_simd" + suffix, reps, macs,
           [&] { g_sink += conv.Forward(input)[0]; });
     bench("conv3x3_gemm_int8_fused_relu" + suffix, reps, macs,
-          [&] { g_sink += conv.ForwardFused(input, GemmEpilogue::kBiasRelu)[0]; });
+          [&] { g_sink += conv.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu)[0]; });
     conv.SetPrecision(Precision::kFloat32);
   }
 

@@ -49,11 +49,16 @@ void Relu::SetMaskFromOutput(const Tensor& output) {
   }
 }
 
-void Relu::ForwardCodes(const QuantizedTensorView& input, uint8_t* out) {
-  PCHECK(!training_) << "relu ForwardCodes in training mode";
-  input_shape_ = input.shape;
+Tensor Relu::Infer(const InputRef& input, const OutputSpec& output) {
+  if (!input.is_codes()) {
+    return Layer::Infer(input, output);
+  }
+  PCHECK(!training_ && output.IsCodeTransformOf(input))
+      << "relu runs codes only as an eval-mode transform";
+  input_shape_ = input.codes.shape;
   mask_.clear();
-  ReluCodes(input.data, input.shape.Elements(), input.zero_point, out);
+  ReluCodes(input.codes.data, input_shape_.Elements(), input.codes.zero_point, output.codes);
+  return Tensor();
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {

@@ -23,10 +23,11 @@ class Relu : public Layer {
   // is exactly the backward state an inference deployment never reads.
   void SetMaskFromOutput(const Tensor& output);
 
-  // relu(code) = max(code, zero_point) exactly (quantize(0) == zp), but it
-  // skips the backward mask — eval mode only.
+  // Code transform: relu(code) = max(code, zero_point) exactly
+  // (quantize(0) == zp), but it skips the backward mask — eval mode only.
+  // Infer takes codes only under the input's own quantization.
   bool SupportsCodeTransform() const override { return !training_; }
-  void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) override;
+  Tensor Infer(const InputRef& input, const OutputSpec& output) override;
 
  private:
   std::vector<uint8_t> mask_;  // 1 where input > 0

@@ -20,7 +20,7 @@ Conv2D::Conv2D(int in_channels, int out_channels, int kernel, int stride, int pa
       stride_(stride),
       pad_(pad),
       label_(std::move(name)),
-      use_gemm_(GemmEnabledByDefault()) {
+      use_gemm_(true) {
   PCHECK_GT(in_channels, 0);
   PCHECK_GT(out_channels, 0);
   PCHECK_GT(kernel, 0);
@@ -105,10 +105,10 @@ size_t Conv2D::ForwardScratchFloats(const TensorShape& input) const {
 }
 
 Tensor Conv2D::Forward(const Tensor& input) {
-  PCHECK_EQ(input.shape().c, in_channels_) << Name();
   if (use_gemm_) {
-    return ForwardFused(input, GemmEpilogue::kBias);
+    return Infer(input, OutputSpec{}, GemmEpilogue::kBias);
   }
+  PCHECK_EQ(input.shape().c, in_channels_) << Name();
   PCHECK(precision_ == Precision::kFloat32)
       << Name() << " int8 precision requires the GEMM path";
   if (training_) {
@@ -122,12 +122,8 @@ Tensor Conv2D::Forward(const Tensor& input) {
   return ForwardNaive(input);
 }
 
-Tensor Conv2D::ForwardFused(const Tensor& input, GemmEpilogue epilogue) {
-  const TensorShape out_shape = OutputShape(input.shape());
-  Tensor output(out_shape);
-  ForwardInto(input, epilogue, output.data(), out_shape.c,
-              static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
-  return output;
+Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output) {
+  return Infer(input, output, GemmEpilogue::kBias);
 }
 
 void Conv2D::SetWeights(const Tensor& weights, const Tensor& bias) {
@@ -325,22 +321,41 @@ Tensor Conv2D::ForwardNaive(const Tensor& input) {
   return output;
 }
 
-void Conv2D::ForwardInto(const Tensor& input, GemmEpilogue epilogue, float* out, int64_t ldc,
-                         int64_t sample_stride) {
-  PCHECK_EQ(input.shape().c, in_channels_) << Name();
-  PCHECK(use_gemm_) << Name() << " ForwardInto requires the GEMM path";
+Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output, GemmEpilogue epilogue) {
+  if (!use_gemm_) {
+    // The naive oracle serves Forward's contract and nothing else.
+    PCHECK(!input.is_codes() && output.returns_tensor() && epilogue == GemmEpilogue::kBias)
+        << Name() << " the naive path runs only float in, fresh float tensor out";
+    return Forward(*input.floats);
+  }
+  const TensorShape& in_shape = input.shape();
+  PCHECK_EQ(in_shape.c, in_channels_) << Name();
+  PCHECK((!input.is_codes() && output.codes == nullptr) || AcceptsQuantizedInput())
+      << Name() << " code input or output requires int8 precision and eval mode";
+  PCHECK(!input.is_codes() || input.codes.data != nullptr) << Name();
   if (training_) {
-    last_input_ = input;
+    last_input_ = *input.floats;  // training implies float input (checked above)
   } else {
     // See Forward(): eval clears the copy so a stale one can never feed a
     // later Backward.
     last_input_ = Tensor();
   }
-  if (calibration_capture_) {
+  const TensorShape out_shape = OutputShape(in_shape);
+  Tensor fresh;
+  float* floats = output.floats;
+  if (output.returns_tensor()) {
+    fresh = Tensor(out_shape);
+    floats = fresh.data();
+  }
+  const int64_t ldc = output.ldc > 0 ? output.ldc : out_shape.c;
+  const int64_t sample_stride = output.sample_stride > 0
+                                    ? output.sample_stride
+                                    : static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
+  if (!input.is_codes() && calibration_capture_) {
     // Accumulate the observed input range across the calibration batch.
     float lo = 0.0f;
     float hi = 0.0f;
-    MinMaxRange(input.data(), input.size(), &lo, &hi);
+    MinMaxRange(input.floats->data(), input.floats->size(), &lo, &hi);
     if (has_input_calibration_) {
       calib_min_ = std::min(calib_min_, lo);
       calib_max_ = std::max(calib_max_, hi);
@@ -348,11 +363,27 @@ void Conv2D::ForwardInto(const Tensor& input, GemmEpilogue epilogue, float* out,
       SetInputCalibration(lo, hi);
     }
   }
-  if (precision_ == Precision::kInt8) {
-    ForwardIntoInt8(input, epilogue, out, ldc, sample_stride);
-  } else {
-    ForwardIntoFloat(input, epilogue, out, ldc, sample_stride);
+  if (precision_ == Precision::kFloat32) {
+    ForwardIntoFloat(*input.floats, epilogue, floats, ldc, sample_stride);
+    return fresh;
   }
+  // u8-direct input skips the float staging tensor, the per-forward
+  // MinMaxRange pass, and the whole-tensor QuantizeActivations sweep.
+  const uint8_t* codes = input.codes.data;
+  ActivationQuant quant{input.codes.scale, input.codes.zero_point};
+  if (!input.is_codes()) {
+    quant = QuantizeInputActivations(*input.floats);
+    codes = quantized_input_.data();
+  }
+  if (output.codes != nullptr) {
+    Int8ForwardOverCodes(codes, in_shape, quant, epilogue,
+                         ActivationQuant{output.scale, output.zero_point}, output.codes, ldc,
+                         sample_stride);
+  } else {
+    Int8ForwardOverCodes(codes, in_shape, quant, epilogue, ActivationQuant{}, floats, ldc,
+                         sample_stride);
+  }
+  return fresh;
 }
 
 void Conv2D::ForwardIntoFloat(const Tensor& input, GemmEpilogue epilogue, float* out,
@@ -514,93 +545,8 @@ ActivationQuant Conv2D::QuantizeInputActivations(const Tensor& input) {
   return quant;
 }
 
-void Conv2D::ForwardIntoInt8(const Tensor& input, GemmEpilogue epilogue, float* out,
-                             int64_t ldc, int64_t sample_stride) {
-  const ActivationQuant quant = QuantizeInputActivations(input);
-  Int8ForwardOverCodes(quantized_input_.data(), input.shape(), quant, epilogue,
-                       ActivationQuant{}, out, ldc, sample_stride);
-}
-
-void Conv2D::ForwardIntoU8(const Tensor& input, GemmEpilogue epilogue,
-                           const ActivationQuant& out_quant, uint8_t* out, int64_t ldc,
-                           int64_t sample_stride) {
-  PCHECK(AcceptsQuantizedInput())
-      << Name() << " u8 output requires the GEMM path, int8 precision, and eval mode";
-  PCHECK_EQ(input.shape().c, in_channels_) << Name();
-  last_input_ = Tensor();  // eval contract: no backward state survives
-  const ActivationQuant quant = QuantizeInputActivations(input);
-  Int8ForwardOverCodes(quantized_input_.data(), input.shape(), quant, epilogue, out_quant,
-                       out, ldc, sample_stride);
-}
-
-void Conv2D::ForwardQuantizedInto(const QuantizedTensorView& input, GemmEpilogue epilogue,
-                                  float* out, int64_t ldc, int64_t sample_stride) {
-  PCHECK(AcceptsQuantizedInput())
-      << Name() << " u8-direct input requires the GEMM path, int8 precision, and eval mode";
-  PCHECK_EQ(input.shape.c, in_channels_) << Name();
-  PCHECK(input.data != nullptr) << Name();
-  last_input_ = Tensor();
-  ActivationQuant quant;
-  quant.scale = input.scale;
-  quant.zero_point = input.zero_point;
-  Int8ForwardOverCodes(input.data, input.shape, quant, epilogue, ActivationQuant{}, out,
-                       ldc, sample_stride);
-}
-
-void Conv2D::ForwardQuantizedIntoU8(const QuantizedTensorView& input, GemmEpilogue epilogue,
-                                    const ActivationQuant& out_quant, uint8_t* out,
-                                    int64_t ldc, int64_t sample_stride) {
-  PCHECK(AcceptsQuantizedInput())
-      << Name() << " u8-direct input requires the GEMM path, int8 precision, and eval mode";
-  PCHECK_EQ(input.shape.c, in_channels_) << Name();
-  PCHECK(input.data != nullptr) << Name();
-  last_input_ = Tensor();
-  ActivationQuant quant;
-  quant.scale = input.scale;
-  quant.zero_point = input.zero_point;
-  Int8ForwardOverCodes(input.data, input.shape, quant, epilogue, out_quant, out, ldc,
-                       sample_stride);
-}
-
-void Conv2D::ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                            uint8_t* out) {
-  ActivationQuant out_quant;
-  out_quant.scale = out_scale;
-  out_quant.zero_point = out_zero_point;
-  const TensorShape out_shape = OutputShape(input.shape());
-  ForwardIntoU8(input, GemmEpilogue::kBias, out_quant, out, out_shape.c,
-                static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
-}
-
-void Conv2D::ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                                     int32_t out_zero_point, uint8_t* out) {
-  ActivationQuant out_quant;
-  out_quant.scale = out_scale;
-  out_quant.zero_point = out_zero_point;
-  const TensorShape out_shape = OutputShape(input.shape);
-  ForwardQuantizedIntoU8(input, GemmEpilogue::kBias, out_quant, out, out_shape.c,
-                         static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
-}
-
 bool Conv2D::AcceptsQuantizedInput() const {
   return use_gemm_ && precision_ == Precision::kInt8 && !training_;
-}
-
-Tensor Conv2D::ForwardQuantized(const QuantizedTensorView& input) {
-  PCHECK(AcceptsQuantizedInput())
-      << Name() << " u8-direct input requires the GEMM path, int8 precision, and eval mode";
-  PCHECK_EQ(input.shape.c, in_channels_) << Name();
-  PCHECK(input.data != nullptr) << Name();
-  last_input_ = Tensor();  // eval contract: no backward state survives
-  ActivationQuant quant;
-  quant.scale = input.scale;
-  quant.zero_point = input.zero_point;
-  const TensorShape out_shape = OutputShape(input.shape);
-  Tensor output(out_shape);
-  Int8ForwardOverCodes(input.data, input.shape, quant, GemmEpilogue::kBias,
-                       ActivationQuant{}, output.data(), out_shape.c,
-                       static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c);
-  return output;
 }
 
 template <typename OutT>

@@ -12,20 +12,27 @@
 //   * naive — the original per-output-channel dot-product loop, kept as the
 //     bit-for-bit oracle the parity tests compare against.
 //
-// ForwardInto() additionally fuses the bias + activation epilogue into the
-// GEMM store and writes rows at a caller-chosen stride, which is how
-// Conv->ReLU avoids materializing a pre-activation tensor and FireModule
-// writes its expand branches straight into the concat output.
+// Inference runs through ONE entry, Infer(input, output, epilogue): the
+// input is a float tensor or uint8 codes (InputRef), the output a fresh
+// float tensor, a caller float buffer, or uint8 codes requantized in the
+// GEMM store under a caller-chosen quantization (OutputSpec). Caller
+// buffers take a row stride (ldc) and a sample stride, which is how
+// FireModule writes its expand branches straight into channel slices of
+// the concat output. The epilogue fuses bias + activation into the store,
+// which is how Conv->ReLU avoids a pre-activation tensor. Forward() is
+// Infer with a fresh tensor and the kBias epilogue.
 //
 // SetPrecision(Precision::kInt8) switches the GEMM forward to the quantized
 // engine: per-output-channel int8 weights are quantized at pack time and
 // cached alongside the float panels (both invalidated by the weight
-// Parameter's version counter), activations are quantized per tensor from
-// the input's observed range, and the dequantize + bias + ReLU epilogue
-// lands in the same GemmEpilogue store — so fused Conv->ReLU and the
-// FireModule concat writes run unchanged in int8. The float path stays the
-// training/backward engine and the parity oracle; Backward in int8 mode
-// fails loudly.
+// Parameter's version counter), float input is quantized per tensor from
+// its calibrated or observed range, code input is consumed as is, and the
+// dequantize (or requantize) + bias + ReLU epilogue lands in the same
+// store. Every input/output combination shares one quantized tail, so
+// codes out are bit-identical to float out + QuantizeActivations (see
+// RequantEpilogueSink in gemm.cc). Code input or output is int8/eval-only.
+// The float path stays the training/backward engine and the parity oracle;
+// Backward in int8 mode fails loudly.
 //
 // In eval mode (SetTrainingMode(false)) the forward skips the deep
 // last_input_ copy — the only backward state this layer retains — and
@@ -58,17 +65,10 @@ class Conv2D : public Layer {
   int64_t ForwardMacs(const TensorShape& input) const override;
   size_t ForwardScratchFloats(const TensorShape& input) const override;
 
-  // Fused inference forward on the GEMM path: writes epilogue(conv + bias)
-  // for every output pixel directly to out + n*sample_stride + row*ldc,
-  // where row runs over the out_h*out_w pixels of sample n. ldc >= the
-  // layer's out_channels lets the caller target a channel slice of a wider
-  // tensor. Caches the same backward state as Forward().
-  void ForwardInto(const Tensor& input, GemmEpilogue epilogue, float* out, int64_t ldc,
-                   int64_t sample_stride);
-
-  // Fused conv producing its own tensor (Conv -> ReLU in one pass when
-  // `epilogue` is kBiasRelu). Requires use_gemm().
-  Tensor ForwardFused(const Tensor& input, GemmEpilogue epilogue);
+  // The inference entry (see the header comment): Infer(input, output)
+  // runs the kBias epilogue, the three-argument form any GemmEpilogue.
+  Tensor Infer(const InputRef& input, const OutputSpec& output) override;
+  Tensor Infer(const InputRef& input, const OutputSpec& output, GemmEpilogue epilogue);
 
   // Replaces the weight/bias values (shape-checked) and invalidates the
   // packed-panel cache. Prefer this over mutating weights().value in place,
@@ -86,9 +86,9 @@ class Conv2D : public Layer {
   Parameter& weights() { return weights_; }
   Parameter& bias() { return bias_; }
 
-  // Selects the forward implementation. New layers inherit the process-wide
-  // default (GemmEnabledByDefault()); tests flip individual layers to pit
-  // the GEMM path against the naive oracle.
+  // Selects the forward implementation. Layers start on the GEMM path;
+  // tests flip individual layers to the naive oracle to pit the two
+  // against each other.
   void set_use_gemm(bool use_gemm) { use_gemm_ = use_gemm; }
   bool use_gemm() const { return use_gemm_; }
 
@@ -111,43 +111,10 @@ class Conv2D : public Layer {
   const KernelPlan& plan() const { return plan_; }
   void AppendKernelPlanRows(std::vector<KernelPlanRow>* out) const override;
 
-  // u8-direct input: in int8 eval mode the conv consumes caller-quantized
-  // uint8 codes, skipping the float staging tensor, the per-forward
-  // MinMaxRange pass, AND the whole-tensor QuantizeActivations sweep.
+  // Code input and code output (the zero-float dataflow roles, see Layer)
+  // need the GEMM path, int8 precision, and eval mode.
   bool AcceptsQuantizedInput() const override;
-  Tensor ForwardQuantized(const QuantizedTensorView& input) override;
-
-  // Zero-float dataflow (requantize-in-epilogue): the GEMM store quantizes
-  // straight to the CONSUMER's uint8 codes instead of floats, so two
-  // adjacent int8 convs exchange codes with no float tensor in between.
-  // The float value being requantized is bit-identical to what the float
-  // stores above produce, so codes match a float store + QuantizeActivations
-  // sweep exactly (see RequantEpilogueSink in gemm.cc). All four combinations
-  // of {float, u8} input x {float, u8} output now exist:
-  //   ForwardInto           float -> float   (above)
-  //   ForwardIntoU8         float -> u8
-  //   ForwardQuantizedInto  u8    -> float   (ForwardQuantized minus the
-  //                                           output Tensor allocation)
-  //   ForwardQuantizedIntoU8 u8   -> u8      (the steady-state hot path)
-  // The u8 writers are eval/int8-only (PCHECKed) and honor ldc /
-  // sample_stride like ForwardInto, so FireModule aims them at channel
-  // slices of its concat buffer.
-  void ForwardIntoU8(const Tensor& input, GemmEpilogue epilogue,
-                     const ActivationQuant& out_quant, uint8_t* out, int64_t ldc,
-                     int64_t sample_stride);
-  void ForwardQuantizedInto(const QuantizedTensorView& input, GemmEpilogue epilogue,
-                            float* out, int64_t ldc, int64_t sample_stride);
-  void ForwardQuantizedIntoU8(const QuantizedTensorView& input, GemmEpilogue epilogue,
-                              const ActivationQuant& out_quant, uint8_t* out, int64_t ldc,
-                              int64_t sample_stride);
-
-  // Layer-protocol wrappers over the u8 writers (dense output, kBias
-  // epilogue — the network applies activations as separate layers).
   bool CanEmitQuantizedCodes() const override { return AcceptsQuantizedInput(); }
-  void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                      uint8_t* out) override;
-  void ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                               int32_t out_zero_point, uint8_t* out) override;
 
   // Input-range calibration: when set, the int8 forward derives its
   // activation quantization from this range instead of scanning the input
@@ -189,9 +156,7 @@ class Conv2D : public Layer {
   // height/width; returns false when the shape has no interior columns (the
   // caller falls back to the materialized gather).
   bool PrepareImplicitGather(int height, int width);
-  void ForwardIntoInt8(const Tensor& input, GemmEpilogue epilogue, float* out, int64_t ldc,
-                       int64_t sample_stride);
-  // Shared tail of the int8 forwards: patch-gathers `codes` (whole-sample
+  // Shared tail of every int8 Infer: patch-gathers `codes` (whole-sample
   // uint8 NHWC codes) into (kh, kw, c) rows and runs the quantized GEMM,
   // storing either dequantized floats (OutT = float; out_quant ignored) or
   // requantized consumer codes (OutT = uint8_t).
@@ -200,9 +165,9 @@ class Conv2D : public Layer {
                             const ActivationQuant& quant, GemmEpilogue epilogue,
                             const ActivationQuant& out_quant, OutT* out, int64_t ldc,
                             int64_t sample_stride);
-  // Shared front half of the float-input int8 forwards: captures / applies
-  // calibration, quantizes the input into quantized_input_, and returns the
-  // chosen activation quant.
+  // Front half of a float-input int8 Infer: applies calibration (or
+  // observes the range), quantizes the input into quantized_input_, and
+  // returns the chosen activation quant.
   ActivationQuant QuantizeInputActivations(const Tensor& input);
 
   // Repacks filter panels iff (weights_.version, plan_) moved since the
@@ -259,7 +224,7 @@ class Conv2D : public Layer {
   // Whole-input uint8 codes for the quantized forward (quantized once per
   // forward; the per-chunk patch gather then moves bytes, not floats).
   // Plain scratch, not backward state — sized on first int8 forward, steady
-  // thereafter. The u8-direct path (ForwardQuantized) bypasses it entirely.
+  // thereafter. Code input bypasses it entirely.
   std::vector<uint8_t> quantized_input_;
 
   // Implicit-gather offset table: per (output row, vertical tap) element

@@ -135,126 +135,70 @@ bool FireModule::QuantizedSqueezeHop(ActivationQuant* hop_quant) const {
   return true;
 }
 
-Tensor FireModule::ForwardQuantized(const QuantizedTensorView& input) {
-  PCHECK(AcceptsQuantizedInput()) << Name() << " cannot run quantized";
-  const TensorShape out_shape = OutputShape(input.shape);
-  const TensorShape squeezed_shape{input.shape.n, input.shape.h, input.shape.w,
-                                   squeeze_channels_};
-  Tensor joined(out_shape);
-  const int64_t ldc = out_shape.c;
-  const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
-  const int64_t squeezed_stride =
-      static_cast<int64_t>(squeezed_shape.h) * squeezed_shape.w * squeeze_channels_;
-  ActivationQuant hop;
-  if (QuantizedSqueezeHop(&hop)) {
-    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.ForwardQuantizedIntoU8(input, GemmEpilogue::kBiasRelu, hop,
-                                    squeezed_codes_.data(), squeeze_channels_, squeezed_stride);
-    QuantizedTensorView squeezed{squeezed_codes_.data(), squeezed_shape, hop.scale,
-                                 hop.zero_point};
-    expand1x1_.ForwardQuantizedInto(squeezed, GemmEpilogue::kBiasRelu, joined.data(), ldc,
-                                    sample_stride);
-    expand3x3_.ForwardQuantizedInto(squeezed, GemmEpilogue::kBiasRelu,
-                                    joined.data() + expand_channels_, ldc, sample_stride);
-  } else {
-    Tensor squeezed(squeezed_shape);
-    squeeze_.ForwardQuantizedInto(input, GemmEpilogue::kBiasRelu, squeezed.data(),
-                                  squeeze_channels_, squeezed_stride);
-    expand1x1_.ForwardInto(squeezed, GemmEpilogue::kBiasRelu, joined.data(), ldc,
-                           sample_stride);
-    expand3x3_.ForwardInto(squeezed, GemmEpilogue::kBiasRelu,
-                           joined.data() + expand_channels_, ldc, sample_stride);
-  }
-  return joined;
-}
-
-void FireModule::ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                                uint8_t* out) {
-  PCHECK(AcceptsQuantizedInput()) << Name() << " cannot emit quantized codes";
-  const TensorShape out_shape = OutputShape(input.shape());
-  const TensorShape squeezed_shape{input.shape().n, input.shape().h, input.shape().w,
-                                   squeeze_channels_};
-  const ActivationQuant out_quant{out_scale, out_zero_point};
-  const int64_t ldc = out_shape.c;
-  const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
-  const int64_t squeezed_stride =
-      static_cast<int64_t>(squeezed_shape.h) * squeezed_shape.w * squeeze_channels_;
-  ActivationQuant hop;
-  if (QuantizedSqueezeHop(&hop)) {
-    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.ForwardIntoU8(input, GemmEpilogue::kBiasRelu, hop, squeezed_codes_.data(),
-                           squeeze_channels_, squeezed_stride);
-    QuantizedTensorView squeezed{squeezed_codes_.data(), squeezed_shape, hop.scale,
-                                 hop.zero_point};
-    expand1x1_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                                      sample_stride);
-    expand3x3_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                                      out + expand_channels_, ldc, sample_stride);
-  } else {
-    Tensor squeezed = squeeze_.ForwardFused(input, GemmEpilogue::kBiasRelu);
-    expand1x1_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                             sample_stride);
-    expand3x3_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                             out + expand_channels_, ldc, sample_stride);
-  }
-}
-
-void FireModule::ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                                         int32_t out_zero_point, uint8_t* out) {
-  PCHECK(AcceptsQuantizedInput()) << Name() << " cannot emit quantized codes";
-  const TensorShape out_shape = OutputShape(input.shape);
-  const TensorShape squeezed_shape{input.shape.n, input.shape.h, input.shape.w,
-                                   squeeze_channels_};
-  const ActivationQuant out_quant{out_scale, out_zero_point};
-  const int64_t ldc = out_shape.c;
-  const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
-  const int64_t squeezed_stride =
-      static_cast<int64_t>(squeezed_shape.h) * squeezed_shape.w * squeeze_channels_;
-  ActivationQuant hop;
-  if (QuantizedSqueezeHop(&hop)) {
-    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.ForwardQuantizedIntoU8(input, GemmEpilogue::kBiasRelu, hop,
-                                    squeezed_codes_.data(), squeeze_channels_, squeezed_stride);
-    QuantizedTensorView squeezed{squeezed_codes_.data(), squeezed_shape, hop.scale,
-                                 hop.zero_point};
-    expand1x1_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                                      sample_stride);
-    expand3x3_.ForwardQuantizedIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                                      out + expand_channels_, ldc, sample_stride);
-  } else {
-    Tensor squeezed(squeezed_shape);
-    squeeze_.ForwardQuantizedInto(input, GemmEpilogue::kBiasRelu, squeezed.data(),
-                                  squeeze_channels_, squeezed_stride);
-    expand1x1_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant, out, ldc,
-                             sample_stride);
-    expand3x3_.ForwardIntoU8(squeezed, GemmEpilogue::kBiasRelu, out_quant,
-                             out + expand_channels_, ldc, sample_stride);
-  }
-}
-
 Tensor FireModule::Forward(const Tensor& input) {
   if (use_fused_ && squeeze_.use_gemm() && expand1x1_.use_gemm() && expand3x3_.use_gemm()) {
-    // Squeeze + ReLU in one GEMM pass; the mask Backward() needs is
-    // recovered from the post-activation output (exactly equal to the
-    // pre-activation sign mask).
-    Tensor squeezed = squeeze_.ForwardFused(input, GemmEpilogue::kBiasRelu);
-    squeeze_relu_.SetMaskFromOutput(squeezed);
-
-    // Each expand branch writes relu(conv + bias) straight into its
-    // channel-half of the concat tensor: no expand intermediates, no
-    // interleave copy, no separate ReLU sweep.
-    const TensorShape out_shape = OutputShape(input.shape());
-    Tensor joined(out_shape);
-    const int64_t ldc = out_shape.c;
-    const int64_t sample_stride = static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
-    expand1x1_.ForwardInto(squeezed, GemmEpilogue::kBiasRelu, joined.data(), ldc,
-                           sample_stride);
-    expand3x3_.ForwardInto(squeezed, GemmEpilogue::kBiasRelu,
-                           joined.data() + expand_channels_, ldc, sample_stride);
-    expand_relu_.SetMaskFromOutput(joined);
-    return joined;
+    // Always the float hop: Forward is the staged oracle the quantized hop
+    // is checked against.
+    return RunFused(input, OutputSpec{}, nullptr);
   }
   return ForwardReference(input);
+}
+
+Tensor FireModule::Infer(const InputRef& input, const OutputSpec& output) {
+  if (!input.is_codes() && output.returns_tensor()) {
+    return Forward(*input.floats);
+  }
+  PCHECK(AcceptsQuantizedInput())
+      << Name() << " code input, code output, and caller buffers need int8 eval convs";
+  ActivationQuant hop;
+  return RunFused(input, output, QuantizedSqueezeHop(&hop) ? &hop : nullptr);
+}
+
+Tensor FireModule::RunFused(const InputRef& input, const OutputSpec& output,
+                            const ActivationQuant* hop) {
+  const TensorShape& in_shape = input.shape();
+  const TensorShape squeezed_shape{in_shape.n, in_shape.h, in_shape.w, squeeze_channels_};
+  // Squeeze + ReLU in one GEMM pass, into codes for the expands to read
+  // directly, or into a float map whose Backward mask is recovered from
+  // the post-activation output (exactly equal to the pre-activation sign
+  // mask).
+  Tensor squeezed;
+  QuantizedTensorView squeezed_codes{};
+  if (hop != nullptr) {
+    squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
+    squeeze_.Infer(input, OutputSpec::Codes(squeezed_codes_.data(), hop->scale, hop->zero_point),
+                   GemmEpilogue::kBiasRelu);
+    squeezed_codes = QuantizedTensorView{squeezed_codes_.data(), squeezed_shape, hop->scale,
+                                         hop->zero_point};
+  } else {
+    squeezed = squeeze_.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu);
+    squeeze_relu_.SetMaskFromOutput(squeezed);
+  }
+  const InputRef expand_input = hop != nullptr ? InputRef(squeezed_codes) : InputRef(squeezed);
+
+  // Each expand branch writes relu(conv + bias) straight into its
+  // channel-half of the output: no expand intermediates, no interleave
+  // copy, no separate ReLU sweep.
+  Tensor joined;
+  OutputSpec half = output;
+  if (output.returns_tensor()) {
+    joined = Tensor(OutputShape(in_shape));
+    half = OutputSpec::Floats(joined.data());
+  }
+  if (half.ldc == 0) {
+    half.ldc = out_channels();  // a half is never dense
+  }
+  expand1x1_.Infer(expand_input, half, GemmEpilogue::kBiasRelu);
+  if (half.floats != nullptr) {
+    half.floats += expand_channels_;
+  } else {
+    half.codes += expand_channels_;
+  }
+  expand3x3_.Infer(expand_input, half, GemmEpilogue::kBiasRelu);
+  if (output.returns_tensor()) {
+    expand_relu_.SetMaskFromOutput(joined);
+  }
+  return joined;
 }
 
 Tensor FireModule::ForwardReference(const Tensor& input) {

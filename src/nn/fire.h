@@ -10,6 +10,15 @@
 // == concat(relu), elementwise), deleting both the interleave copy and the
 // two expand intermediates. Backward is unchanged — the ReLU masks are
 // reconstructed from the fused outputs, which is exact.
+//
+// That fused sequence is ONE body shared by Forward and Infer. Infer
+// takes any input ref and output spec: the expands write their channel
+// halves through the caller's spec (floats or codes, at the caller's ldc
+// and sample stride), and the only thing left to decide is the squeeze's
+// own output spec — uint8 codes in a persistent buffer when both expand
+// convs carry an equal calibrated input range (the quantized hop, no float
+// activation tensor inside the module), a float map otherwise. Forward,
+// the training path and the staged oracle, always takes the float hop.
 #ifndef PERCIVAL_SRC_NN_FIRE_H_
 #define PERCIVAL_SRC_NN_FIRE_H_
 
@@ -72,21 +81,12 @@ class FireModule : public Layer {
     return squeeze_.InputCalibration(min_value, max_value);
   }
 
-  // Zero-float dataflow: the fused module consumes and emits uint8 codes.
-  // When both expand convs carry a calibrated (shared) input range, the
-  // squeeze->expand hop is quantized too — squeeze requant-emits into the
-  // persistent `squeezed_codes_` buffer and the expands read codes, so the
-  // module runs bitmap-codes in, concat-codes out with no float activation
-  // tensor. Without expand calibration the hop falls back to a float
-  // squeezed tensor (the expands quantize it themselves), which keeps code
-  // emission available whenever the convs are int8-eval.
+  // The inference entry. Float in with a fresh float tensor out is exactly
+  // Forward; code input, code output, or a caller buffer need the fused
+  // path with every conv in int8 eval mode (AcceptsQuantizedInput).
+  Tensor Infer(const InputRef& input, const OutputSpec& output) override;
   bool AcceptsQuantizedInput() const override;
-  Tensor ForwardQuantized(const QuantizedTensorView& input) override;
   bool CanEmitQuantizedCodes() const override { return AcceptsQuantizedInput(); }
-  void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                      uint8_t* out) override;
-  void ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                               int32_t out_zero_point, uint8_t* out) override;
 
   // Inner-conv access for tests and benches (plan inspection, pinning).
   Conv2D& squeeze() { return squeeze_; }
@@ -101,6 +101,9 @@ class FireModule : public Layer {
 
  private:
   Tensor ForwardReference(const Tensor& input);
+  // The fused body: squeeze -> expands, written through `output`. A non-null
+  // `hop` runs the squeeze->expand hop as codes under that quantization.
+  Tensor RunFused(const InputRef& input, const OutputSpec& output, const ActivationQuant* hop);
   // True (filling *hop_quant) when the squeeze->expand hop can run
   // quantized: both expand calibrations valid and equal (they observe the
   // same squeezed tensor, so capture and the trailer always agree).

@@ -20,7 +20,6 @@ namespace percival {
 namespace {
 
 std::atomic<ThreadPool*> g_inference_pool{nullptr};
-std::atomic<bool> g_gemm_default{true};
 std::atomic<bool> g_force_scalar{false};
 std::atomic<int> g_planner_panel_override{0};
 std::atomic<GatherPolicyMode> g_planner_gather_policy{GatherPolicyMode::kAuto};
@@ -252,9 +251,6 @@ bool ValidPanelWidth(int width) {
 
 void SetInferenceThreadPool(ThreadPool* pool) { g_inference_pool.store(pool); }
 ThreadPool* InferenceThreadPool() { return g_inference_pool.load(); }
-
-void SetGemmEnabledByDefault(bool enabled) { g_gemm_default.store(enabled); }
-bool GemmEnabledByDefault() { return g_gemm_default.load(); }
 
 void SetGemmForceScalar(bool force) { g_force_scalar.store(force); }
 bool GemmForceScalar() { return g_force_scalar.load(); }

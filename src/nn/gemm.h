@@ -140,12 +140,6 @@ class ScopedInferencePool {
   ThreadPool* previous_ = nullptr;
 };
 
-// Default forward implementation for newly constructed Conv2D layers:
-// true = GEMM engine, false = naive per-channel dot products (the oracle
-// path the parity tests compare against).
-void SetGemmEnabledByDefault(bool enabled);
-bool GemmEnabledByDefault();
-
 // When true, the kernel entry points route to the always-compiled scalar
 // micro-kernel instead of the active tier's intrinsic one, so a single
 // binary can exercise (and benchmark) both paths. The scalar oracle runs at

@@ -5,6 +5,8 @@
 //   output = Forward(input)   — caches input-derived state
 //   dinput = Backward(doutput) — accumulates into parameter grads
 // Backward may only be called after Forward with matching shapes.
+// Inference has one more entry, Infer(input ref, output spec), which
+// generalizes Forward to code input, code output, and caller buffers.
 #ifndef PERCIVAL_SRC_NN_LAYER_H_
 #define PERCIVAL_SRC_NN_LAYER_H_
 
@@ -79,6 +81,60 @@ struct QuantizedTensorView {
   int32_t zero_point = 0;
 };
 
+// What a layer's inference entry reads: a borrowed float tensor or a
+// borrowed code view. Converts implicitly from either, so call sites pass
+// the tensor or view directly; the referent must outlive the Infer call.
+struct InputRef {
+  const Tensor* floats = nullptr;  // null: the input is `codes`
+  QuantizedTensorView codes{};
+
+  InputRef(const Tensor& tensor) : floats(&tensor) {}
+  InputRef(const QuantizedTensorView& view) : codes(view) {}
+  bool is_codes() const { return floats == nullptr; }
+  const TensorShape& shape() const { return is_codes() ? codes.shape : floats->shape(); }
+};
+
+// Where and how a layer's inference entry writes. Exactly one of three:
+//   * default-constructed: a fresh dense float tensor, returned by Infer;
+//   * `floats`: float output into the caller's buffer;
+//   * `codes`: uint8 output, requantized under (scale, zero_point).
+// Caller buffers are addressed row-major: output pixel `row` of sample n
+// lands at out + n * sample_stride + row * ldc, so ldc >= the layer's
+// output channels targets a channel slice of a wider tensor. 0 means dense
+// for either stride.
+struct OutputSpec {
+  float* floats = nullptr;
+  uint8_t* codes = nullptr;
+  float scale = 1.0f;
+  int32_t zero_point = 0;
+  int64_t ldc = 0;
+  int64_t sample_stride = 0;
+
+  static OutputSpec Floats(float* out, int64_t ldc = 0, int64_t sample_stride = 0) {
+    OutputSpec spec;
+    spec.floats = out;
+    spec.ldc = ldc;
+    spec.sample_stride = sample_stride;
+    return spec;
+  }
+  static OutputSpec Codes(uint8_t* out, float scale, int32_t zero_point, int64_t ldc = 0,
+                          int64_t sample_stride = 0) {
+    OutputSpec spec;
+    spec.codes = out;
+    spec.scale = scale;
+    spec.zero_point = zero_point;
+    spec.ldc = ldc;
+    spec.sample_stride = sample_stride;
+    return spec;
+  }
+  bool returns_tensor() const { return floats == nullptr && codes == nullptr; }
+  // A transform's spec: dense codes under the input's own quantization.
+  bool IsCodeTransformOf(const InputRef& input) const {
+    return input.is_codes() && codes != nullptr && scale == input.codes.scale &&
+           zero_point == input.codes.zero_point && ldc == 0 && sample_stride == 0;
+  }
+};
+
 // A trainable weight with its gradient accumulator.
 struct Parameter {
   std::string name;
@@ -126,60 +182,30 @@ class Layer {
   // recurse) so benches and logs can record the planner's decisions.
   virtual void AppendKernelPlanRows(std::vector<KernelPlanRow>* out) const { (void)out; }
 
-  // True when this layer can consume a pre-quantized uint8 input tensor
-  // directly (Conv2D in int8 eval mode). The deployment wrapper checks the
-  // network's FIRST layer and, when eligible, preprocesses bitmaps straight
-  // to uint8 codes — no float staging tensor on the int8 classify path.
-  virtual bool AcceptsQuantizedInput() const { return false; }
-
-  // Runs the layer over caller-quantized input codes. Only meaningful when
-  // AcceptsQuantizedInput(); the default fails loudly.
-  virtual Tensor ForwardQuantized(const QuantizedTensorView& input) {
-    (void)input;
-    PCHECK(false) << Name() << " does not accept quantized input";
-    return Tensor();
-  }
+  // The inference entry: runs the layer over `input` (a float tensor or
+  // uint8 codes) and delivers through `output` (see OutputSpec). A float
+  // output with no destination returns a fresh dense tensor; every other
+  // spec writes through its pointer and returns an empty Tensor. The
+  // default serves exactly Forward(): float in, fresh float tensor out.
+  virtual Tensor Infer(const InputRef& input, const OutputSpec& output);
 
   // Zero-float dataflow protocol (the requantize-in-epilogue plan chosen by
-  // Network::PlanForward). Three roles:
-  //   * EMITTERS (int8 convs, fire modules in eval mode) can write their
-  //     output directly as uint8 codes under a caller-chosen quantization —
-  //     the consumer layer's calibrated input quant — via ForwardToCodes
-  //     (float input) / ForwardQuantizedToCodes (code input). `out` receives
-  //     OutputShape(input).Elements() dense NHWC codes.
-  //   * TRANSFORMS (eval ReLU, MaxPool) are quantization-preserving maps on
-  //     codes: quantization is monotone, so max-based ops commute with it
-  //     exactly (relu(code) = max(code, zp) because quantize(0) == zp).
-  //     ForwardCodes rewrites input codes to output codes under the SAME
-  //     (scale, zero_point).
-  //   * everything else breaks the code chain and the network falls back to
-  //     the float path at that point.
-  // Scale/zero-point travel as plain scalars so this header stays
-  // independent of the GEMM engine's ActivationQuant. Defaults fail loudly;
-  // the planner only routes codes at layers that advertise support.
+  // Network::PlanForward). Every role is an Infer call with a particular
+  // input ref and output spec; the predicates tell the planner which a
+  // layer accepts:
+  //   * CONSUMER (AcceptsQuantizedInput): codes in. Int8-eval convs and
+  //     fire modules, and GlobalAvgPool under GapCodesMode.
+  //   * EMITTER (CanEmitQuantizedCodes): a codes output spec under a
+  //     caller-chosen quantization — the downstream consumer's calibrated
+  //     input quant. Int8-eval convs and fire modules.
+  //   * TRANSFORM (SupportsCodeTransform): codes in, dense codes out under
+  //     the input's own quantization. Eval ReLU and MaxPool: quantization
+  //     is monotone, so max-based ops commute with it exactly
+  //     (relu(code) = max(code, zp) because quantize(0) == zp).
+  //   * everything else breaks the code chain and runs float -> float.
+  virtual bool AcceptsQuantizedInput() const { return false; }
   virtual bool CanEmitQuantizedCodes() const { return false; }
-  virtual void ForwardToCodes(const Tensor& input, float out_scale, int32_t out_zero_point,
-                              uint8_t* out) {
-    (void)input;
-    (void)out_scale;
-    (void)out_zero_point;
-    (void)out;
-    PCHECK(false) << Name() << " cannot emit quantized codes";
-  }
-  virtual void ForwardQuantizedToCodes(const QuantizedTensorView& input, float out_scale,
-                                       int32_t out_zero_point, uint8_t* out) {
-    (void)input;
-    (void)out_scale;
-    (void)out_zero_point;
-    (void)out;
-    PCHECK(false) << Name() << " cannot emit quantized codes";
-  }
   virtual bool SupportsCodeTransform() const { return false; }
-  virtual void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) {
-    (void)input;
-    (void)out;
-    PCHECK(false) << Name() << " cannot transform quantized codes";
-  }
 
   // Calibration protocol. Capture mode (SetCalibrationCapture(true) resets
   // any previous range and starts accumulating; false stops and keeps the

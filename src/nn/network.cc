@@ -16,16 +16,29 @@ Tensor Network::Forward(const Tensor& input) {
   // genuinely slow one to everything above (deadline accounting, the
   // degrade ladder) — the sleep is in the spec, armed by tests/benches.
   faultpoint::ShouldFire(faultpoint::kSlowForward);
-  if (!planned_ || !(planned_shape_ == input.shape()) ||
+  PlanIfStale(input.shape());
+  return RunDataflow(input);
+}
+
+Tensor Network::ForwardQuantized(const QuantizedTensorView& input) {
+  // Same deadline hook as Forward: the u8-direct deployment entry must be
+  // just as stall-able, or the robustness suite would only cover the float
+  // path.
+  faultpoint::ShouldFire(faultpoint::kSlowForward);
+  PCHECK(!layers_.empty());
+  PCHECK(layers_[0]->AcceptsQuantizedInput())
+      << "first layer (" << layers_[0]->Name() << ") cannot consume quantized input";
+  PlanIfStale(input.shape);
+  return RunDataflow(input);
+}
+
+void Network::PlanIfStale(const TensorShape& input) {
+  if (!planned_ || !(planned_shape_ == input) ||
       dataflow_enabled_at_plan_ != DataflowRequantEnabled() ||
       gap_codes_at_plan_ != GetGapCodesMode() ||
       dispatch_generation_at_plan_ != SimdDispatchGeneration()) {
-    PlanForward(input.shape());
+    PlanForward(input);
   }
-  if (DataflowActive()) {
-    return RunDataflow(&input, nullptr);
-  }
-  return ForwardUpTo(input, layers_.size());
 }
 
 void Network::PlanForward(const TensorShape& input) {
@@ -73,15 +86,14 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
       float max_value = 0.0f;
       if (j < layers_.size() && layers_[j]->AcceptsQuantizedInput() &&
           layers_[j]->InputCalibration(&min_value, &max_value)) {
+        // The emitter writes the consumer's quantization and every
+        // transform in between preserves it.
         const ActivationQuant quant = ComputeActivationQuant(min_value, max_value);
-        dataflow_[i].mode = DataflowStep::Mode::kEmit;
-        dataflow_[i].scale = quant.scale;
-        dataflow_[i].zero_point = quant.zero_point;
         for (size_t t = i; t < j; ++t) {
+          dataflow_[t].mode = t == i ? DataflowStep::Mode::kEmit : DataflowStep::Mode::kTransform;
+          dataflow_[t].scale = quant.scale;
+          dataflow_[t].zero_point = quant.zero_point;
           dataflow_[t].out_shape = layers_[t]->OutputShape(input_shapes[t]);
-          if (t > i) {
-            dataflow_[t].mode = DataflowStep::Mode::kTransform;
-          }
           max_code_bytes = std::max(
               max_code_bytes, static_cast<size_t>(dataflow_[t].out_shape.Elements()));
         }
@@ -91,7 +103,7 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
     }
     if (!linked) {
       // Layer i runs unlinked: float layer, or a consumer that terminates
-      // the chain (RunDataflow hands it the codes via ForwardQuantized).
+      // the chain (RunDataflow hands it the codes).
       ++i;
     }
   }
@@ -99,15 +111,6 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
     code_buffers_[0].resize(max_code_bytes);
     code_buffers_[1].resize(max_code_bytes);
   }
-}
-
-bool Network::DataflowActive() const {
-  for (const DataflowStep& step : dataflow_) {
-    if (step.mode == DataflowStep::Mode::kEmit) {
-      return true;
-    }
-  }
-  return false;
 }
 
 size_t Network::RequantLinkCount() const {
@@ -120,77 +123,30 @@ size_t Network::RequantLinkCount() const {
   return links;
 }
 
-Tensor Network::RunDataflow(const Tensor* float_in, const QuantizedTensorView* code_in) {
-  PCHECK((float_in != nullptr) != (code_in != nullptr));
+Tensor Network::RunDataflow(InputRef input) {
   Tensor current;
-  QuantizedTensorView codes{};
-  bool codes_live = code_in != nullptr;
-  if (codes_live) {
-    codes = *code_in;
-  } else {
-    current = *float_in;
-  }
   int turn = 0;
   for (size_t i = 0; i < layers_.size(); ++i) {
     const DataflowStep& step = dataflow_[i];
-    switch (step.mode) {
-      case DataflowStep::Mode::kEmit: {
-        uint8_t* out = code_buffers_[turn].data();
-        turn ^= 1;
-        if (codes_live) {
-          layers_[i]->ForwardQuantizedToCodes(codes, step.scale, step.zero_point, out);
-        } else {
-          layers_[i]->ForwardToCodes(current, step.scale, step.zero_point, out);
-          current = Tensor();
-        }
-        codes = QuantizedTensorView{out, step.out_shape, step.scale, step.zero_point};
-        codes_live = true;
-        break;
-      }
-      case DataflowStep::Mode::kTransform: {
-        uint8_t* out = code_buffers_[turn].data();
-        turn ^= 1;
-        layers_[i]->ForwardCodes(codes, out);
-        codes = QuantizedTensorView{out, step.out_shape, codes.scale, codes.zero_point};
-        break;
-      }
-      case DataflowStep::Mode::kFloat: {
-        if (codes_live) {
-          // Chain break: this layer consumes the live codes and returns the
-          // network to the float path.
-          current = layers_[i]->ForwardQuantized(codes);
-          codes_live = false;
-        } else {
-          current = layers_[i]->Forward(current);
-        }
-        break;
-      }
+    // A float step returns a fresh tensor — including the consumer that
+    // reads live codes and ends a chain; emitters and transforms write the
+    // ping-pong buffer they do not read.
+    OutputSpec output;
+    if (step.mode != DataflowStep::Mode::kFloat) {
+      output = OutputSpec::Codes(code_buffers_[turn].data(), step.scale, step.zero_point);
+      turn ^= 1;
+    }
+    Tensor result = layers_[i]->Infer(input, output);
+    if (output.codes != nullptr) {
+      input = QuantizedTensorView{output.codes, step.out_shape, step.scale, step.zero_point};
+    } else {
+      current = std::move(result);
+      input = current;
     }
   }
-  PCHECK(!codes_live) << "dataflow plan ended with live codes and no consumer";
-  return current;
-}
-
-Tensor Network::ForwardQuantized(const QuantizedTensorView& input) {
-  // Same deadline hook as Forward: the u8-direct deployment entry must be
-  // just as stall-able, or the robustness suite would only cover the float
-  // path.
-  faultpoint::ShouldFire(faultpoint::kSlowForward);
-  PCHECK(!layers_.empty());
-  PCHECK(layers_[0]->AcceptsQuantizedInput())
-      << "first layer (" << layers_[0]->Name() << ") cannot consume quantized input";
-  if (!planned_ || !(planned_shape_ == input.shape) ||
-      dataflow_enabled_at_plan_ != DataflowRequantEnabled() ||
-      gap_codes_at_plan_ != GetGapCodesMode() ||
-      dispatch_generation_at_plan_ != SimdDispatchGeneration()) {
-    PlanForward(input.shape);
-  }
-  if (DataflowActive()) {
-    return RunDataflow(nullptr, &input);
-  }
-  Tensor current = layers_[0]->ForwardQuantized(input);
-  for (size_t i = 1; i < layers_.size(); ++i) {
-    current = layers_[i]->Forward(current);
+  PCHECK(!input.is_codes()) << "dataflow plan ended with live codes and no consumer";
+  if (layers_.empty()) {
+    return *input.floats;
   }
   return current;
 }

@@ -40,7 +40,7 @@ class Network {
 
   // Runs all layers over a pre-quantized uint8 input: the FIRST layer must
   // accept quantized input (AcceptsQuantizedInput(), i.e. a conv in int8
-  // eval mode); the rest of the network runs normally on its float output.
+  // eval mode); the rest of the network runs the same plan as Forward.
   // This is the deployment path that keeps the int8 classify pipeline free
   // of the float staging tensor.
   Tensor ForwardQuantized(const QuantizedTensorView& input);
@@ -134,11 +134,12 @@ class Network {
   std::string Summary(const TensorShape& input) const;
 
  private:
-  // One dataflow decision per layer (see RequantLinkCount above). kEmit
-  // carries the consumer's quantization; kTransform rewrites codes under
-  // the incoming quantization. A consumer needs no marker: it is simply a
-  // non-emitting layer reached while codes are live, and the runtime hands
-  // it the code view via ForwardQuantized.
+  // One dataflow decision per layer (see RequantLinkCount above): the
+  // layer's output spec. kEmit and kTransform both write codes under the
+  // consumer's quantization (a transform preserves what the emitter
+  // wrote); kFloat returns a fresh float tensor. A consumer needs no
+  // marker: it is simply a kFloat layer reached while codes are live, and
+  // the runtime hands it the code view.
   struct DataflowStep {
     enum class Mode { kFloat, kEmit, kTransform };
     Mode mode = Mode::kFloat;
@@ -148,11 +149,13 @@ class Network {
   };
 
   void PlanDataflow(const std::vector<TensorShape>& input_shapes);
-  bool DataflowActive() const;
-  // Runs the planned layer walk. Exactly one of `float_in` / `code_in` is
-  // non-null: the float entry (Forward) or the u8-direct entry
-  // (ForwardQuantized, codes live from layer 0).
-  Tensor RunDataflow(const Tensor* float_in, const QuantizedTensorView* code_in);
+  // Re-plans when the input shape, a dataflow knob, or the SIMD dispatch
+  // moved since the last plan.
+  void PlanIfStale(const TensorShape& input);
+  // Runs the planned layer walk, one Infer per layer: float input from
+  // Forward, codes live from layer 0 under ForwardQuantized. An all-kFloat
+  // plan is the plain float-staged forward.
+  Tensor RunDataflow(InputRef input);
 
   std::vector<std::unique_ptr<Layer>> layers_;
   TensorShape planned_shape_{};

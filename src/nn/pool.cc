@@ -83,17 +83,22 @@ Tensor MaxPool2D::Forward(const Tensor& input) {
   return output;
 }
 
-void MaxPool2D::ForwardCodes(const QuantizedTensorView& input, uint8_t* out) {
-  PCHECK(!training_) << Name() << " ForwardCodes in training mode";
-  input_shape_ = input.shape;
+Tensor MaxPool2D::Infer(const InputRef& input, const OutputSpec& output) {
+  if (!input.is_codes()) {
+    return Layer::Infer(input, output);
+  }
+  PCHECK(!training_ && output.IsCodeTransformOf(input))
+      << Name() << " runs codes only as an eval-mode transform";
+  input_shape_ = input.codes.shape;
   argmax_.clear();
   const TensorShape out_shape = OutputShape(input_shape_);
   const int64_t in_sample = static_cast<int64_t>(input_shape_.h) * input_shape_.w * input_shape_.c;
   const int64_t out_sample = static_cast<int64_t>(out_shape.h) * out_shape.w * out_shape.c;
   for (int n = 0; n < input_shape_.n; ++n) {
-    MaxPoolCodes(input.data + n * in_sample, input_shape_.h, input_shape_.w, input_shape_.c,
-                 kernel_, stride_, out + n * out_sample);
+    MaxPoolCodes(input.codes.data + n * in_sample, input_shape_.h, input_shape_.w,
+                 input_shape_.c, kernel_, stride_, output.codes + n * out_sample);
   }
+  return Tensor();
 }
 
 Tensor MaxPool2D::Backward(const Tensor& grad_output) {
@@ -156,21 +161,25 @@ bool GlobalAvgPool::AcceptsQuantizedInput() const {
   return false;
 }
 
-Tensor GlobalAvgPool::ForwardQuantized(const QuantizedTensorView& input) {
-  PCHECK(!training_) << Name() << " ForwardQuantized in training mode";
-  input_shape_ = input.shape;
+Tensor GlobalAvgPool::Infer(const InputRef& input, const OutputSpec& output) {
+  if (!input.is_codes()) {
+    return Layer::Infer(input, output);
+  }
+  PCHECK(!training_ && output.returns_tensor())
+      << Name() << " takes codes only into a fresh float tensor, in eval mode";
+  input_shape_ = input.codes.shape;
   const int channels = input_shape_.c;
   const int64_t plane = static_cast<int64_t>(input_shape_.h) * input_shape_.w;
   PCHECK_GT(plane, 0);
   // Codes max out at 255, so int32 sums are exact for any plane the
   // classifier sees (saturation would need > 8.4M pixels per plane).
   PCHECK_LT(plane, static_cast<int64_t>(1) << 23);
-  Tensor output(input_shape_.n, 1, 1, channels);
+  Tensor pooled(input_shape_.n, 1, 1, channels);
   const int64_t sample = plane * channels;
   sum_buffer_.assign(static_cast<size_t>(channels), 0);
   for (int n = 0; n < input_shape_.n; ++n) {
-    const uint8_t* in = input.data + static_cast<int64_t>(n) * sample;
-    float* out = output.SampleData(n);
+    const uint8_t* in = input.codes.data + static_cast<int64_t>(n) * sample;
+    float* out = pooled.SampleData(n);
     std::fill(sum_buffer_.begin(), sum_buffer_.end(), 0);
     for (int64_t p = 0; p < plane; ++p) {
       const uint8_t* row = in + p * channels;
@@ -181,13 +190,13 @@ Tensor GlobalAvgPool::ForwardQuantized(const QuantizedTensorView& input) {
     // avg value = scale * (avg code - zp) = scale * (sum - plane*zp) / plane:
     // one dequantize per channel instead of one per input element.
     const float inv_plane = 1.0f / static_cast<float>(plane);
-    const int64_t zp_term = plane * static_cast<int64_t>(input.zero_point);
+    const int64_t zp_term = plane * static_cast<int64_t>(input.codes.zero_point);
     for (int c = 0; c < channels; ++c) {
       const int64_t centered = static_cast<int64_t>(sum_buffer_[static_cast<size_t>(c)]) - zp_term;
-      out[c] = input.scale * (static_cast<float>(centered) * inv_plane);
+      out[c] = input.codes.scale * (static_cast<float>(centered) * inv_plane);
     }
   }
-  return output;
+  return pooled;
 }
 
 void GlobalAvgPool::SetCalibrationCapture(bool capture) {

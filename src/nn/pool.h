@@ -19,10 +19,11 @@ class MaxPool2D : public Layer {
   std::string Name() const override;
   TensorShape OutputShape(const TensorShape& input) const override;
 
-  // Max over codes is exact (quantization is monotone), but it skips the
-  // argmax capture Backward needs — eval mode only.
+  // Code transform: max over codes is exact (quantization is monotone),
+  // but it skips the argmax capture Backward needs — eval mode only. Infer
+  // takes codes only under the input's own quantization.
   bool SupportsCodeTransform() const override { return !training_; }
-  void ForwardCodes(const QuantizedTensorView& input, uint8_t* out) override;
+  Tensor Infer(const InputRef& input, const OutputSpec& output) override;
 
  private:
   int kernel_;
@@ -57,9 +58,9 @@ class GlobalAvgPool : public Layer {
   // True only when the GAP-on-codes mode allows the link (see GapCodesMode
   // in gemm.h), the layer is in eval mode, and a calibrated input range
   // exists (the planner also requires the range to derive the producer's
-  // emit quantization).
+  // emit quantization). Infer then takes codes into a fresh float tensor.
   bool AcceptsQuantizedInput() const override;
-  Tensor ForwardQuantized(const QuantizedTensorView& input) override;
+  Tensor Infer(const InputRef& input, const OutputSpec& output) override;
 
   // One calibration slot (the pooled tensor's range), captured during float
   // forwards like Conv2D's input slots and shipped in the PCVW v2 trailer.

@@ -71,7 +71,7 @@ TEST(FusedEpilogueTest, ConvBiasReluMatchesUnfusedOracle) {
     expected = relu.Forward(expected);
 
     conv.set_use_gemm(true);
-    Tensor fused = conv.ForwardFused(input, GemmEpilogue::kBiasRelu);
+    Tensor fused = conv.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu);
 
     EXPECT_LE(MaxAbsDiff(expected, fused), kTolerance)
         << conv.Name() << " on " << input.shape().ToString();
@@ -109,7 +109,7 @@ TEST(FusedFireTest, DirectConcatMatchesLayerByLayerReference) {
 
 // Backward after a fused forward must produce the same gradients as after
 // the reference forward: the masks reconstructed from fused outputs and the
-// conv state cached by ForwardInto feed the exact same backward math.
+// conv state cached by Infer feed the exact same backward math.
 TEST(FusedFireTest, BackwardAfterFusedForwardMatchesReference) {
   Rng rng(23);
   FireModule fire(5, 3, 7, rng);

@@ -215,10 +215,14 @@ TEST(ImplicitGatherTest, Int8RequantCodesBitExactAcrossLadder) {
       std::vector<uint8_t> mat_codes(static_cast<size_t>(out_elems), 0);
       std::vector<uint8_t> impl_codes(static_cast<size_t>(out_elems), 0xcd);
       const int64_t sample = out_elems / out_shape.n;
-      materialized.ForwardIntoU8(input, GemmEpilogue::kBiasRelu, out_quant,
-                                 mat_codes.data(), out_shape.c, sample);
-      implicit.ForwardIntoU8(input, GemmEpilogue::kBiasRelu, out_quant, impl_codes.data(),
-                             out_shape.c, sample);
+      materialized.Infer(input,
+                         OutputSpec::Codes(mat_codes.data(), out_quant.scale,
+                                           out_quant.zero_point, out_shape.c, sample),
+                         GemmEpilogue::kBiasRelu);
+      implicit.Infer(input,
+                     OutputSpec::Codes(impl_codes.data(), out_quant.scale,
+                                       out_quant.zero_point, out_shape.c, sample),
+                     GemmEpilogue::kBiasRelu);
       EXPECT_EQ(mat_codes, impl_codes) << label;
     }
   }

@@ -3,8 +3,9 @@
 // oracle on every compiled SIMD tier at both panel widths, the defining
 // identity (requant store == float store + QuantizeActivations, to the
 // byte), the code transforms (MaxPoolCodes against the byte-loop oracle it
-// replaced, ReluCodes against max with the clamped zero point), plan
-// engagement/inertness across calibration states, bit-identical logits
+// replaced, ReluCodes against max with the clamped zero point), the layer
+// inference entry over every input/output spec against the staged oracle,
+// plan engagement/inertness across calibration states, bit-identical logits
 // between the zero-float plan and the float-staged int8 path, a
 // steady-state counter proof that a planned frame allocates no float
 // activation tensor and no heap between codes-in and logits-out, and the
@@ -15,11 +16,14 @@
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <string>
 #include <vector>
 
 #include "src/base/rng.h"
 #include "src/core/model.h"
 #include "src/img/resize.h"
+#include "src/nn/conv.h"
+#include "src/nn/fire.h"
 #include "src/nn/gemm.h"
 #include "src/nn/network.h"
 #include "src/nn/ops.h"
@@ -246,7 +250,7 @@ TEST(CodeTransformTest, MaxPoolCodesMatchesByteLoopOracle) {
   EXPECT_GT(floor_dropped_cases, 100) << "too few sizes where the floor drops input";
 }
 
-// The layer entry on a batch of 2: ForwardCodes equals quantizing the float
+// The layer entry on a batch of 2: a codes->codes Infer equals quantizing the float
 // Forward of the dequantized input — max commutes with the monotone
 // quantization map, so the code path is exact, sample offsets included.
 TEST(CodeTransformTest, MaxPoolForwardCodesEqualsQuantizedFloatForward) {
@@ -268,8 +272,8 @@ TEST(CodeTransformTest, MaxPoolForwardCodesEqualsQuantizedFloatForward) {
       QuantizeActivations(pooled.data(), pooled.size(), quant, want.data());
 
       std::vector<uint8_t> got(want.size(), 0xAA);
-      pool.ForwardCodes(QuantizedTensorView{codes.data(), shape, quant.scale, quant.zero_point},
-                        got.data());
+      pool.Infer(QuantizedTensorView{codes.data(), shape, quant.scale, quant.zero_point},
+                 OutputSpec::Codes(got.data(), quant.scale, quant.zero_point));
       ASSERT_EQ(got, want) << "c=" << channels << " k=" << g.kernel << " s=" << g.stride;
     }
   }
@@ -294,6 +298,144 @@ TEST(CodeTransformTest, ReluCodesIsMaxWithClampedZeroPoint) {
       ReluCodes(in_place.data(), count, zero_point, in_place.data());
       EXPECT_EQ(in_place, want) << "in place, zp=" << zero_point << " count=" << count;
     }
+  }
+}
+
+// ------------------------------------------------ layer inference entry ---
+
+// One row of the entry table: which layer runs, what it reads, what it
+// writes, and (fire only) whether the squeeze->expand hop is quantized
+// (equal expand calibrations) or float (expands uncalibrated).
+enum class Io { kFloat, kCodes };
+struct EntryCase {
+  const char* layer;  // "conv1x1", "conv3x3", "fire"
+  Io in;
+  Io out;
+  bool quantized_hop;
+};
+
+const char* IoName(Io io) { return io == Io::kFloat ? "float" : "codes"; }
+
+// Destination slice: channel offset kSliceOffset into rows of ldc =
+// out_c + kSlicePad elements, samples sample_stride apart with
+// kSampleGap elements of slack; everything outside the slice is a canary.
+constexpr int64_t kSliceOffset = 3;
+constexpr int64_t kSlicePad = 7;
+constexpr int64_t kSampleGap = 5;
+constexpr uint8_t kCanaryCode = 0xAB;
+constexpr float kCanaryFloat = -12345.5f;
+
+// Every {float, codes} input x {float, codes} output combination of the
+// conv (1x1 and 3x3/pad 1) and fire inference entries, fire under both hop
+// kinds, on a batch of 2 written into a channel slice of a wider buffer:
+// the slice equals the staged oracle BIT-exactly — the int8 Forward's
+// floats, or QuantizeActivations of them for codes output — and no byte
+// outside the slice moves.
+TEST(LayerEntryTest, EveryInputOutputCombinationMatchesStagedOracle) {
+  std::vector<EntryCase> cases;
+  for (const char* layer : {"conv1x1", "conv3x3", "fire"}) {
+    for (const Io in : {Io::kFloat, Io::kCodes}) {
+      for (const Io out : {Io::kFloat, Io::kCodes}) {
+        cases.push_back({layer, in, out, false});
+        if (std::strcmp(layer, "fire") == 0) {
+          cases.push_back({layer, in, out, true});
+        }
+      }
+    }
+  }
+  ASSERT_EQ(cases.size(), 16u);
+
+  uint64_t seed = 2100;
+  for (const EntryCase& ec : cases) {
+    ++seed;
+    const std::string label = std::string(ec.layer) + " " + IoName(ec.in) + "->" +
+                              IoName(ec.out) + (ec.quantized_hop ? " quantized-hop" : "");
+    const TensorShape in_shape{2, 9, 12, 12};
+    Rng rng(seed);
+    Conv2D conv1x1(in_shape.c, 10, 1, 1, 0, rng, "entry1x1");
+    Conv2D conv3x3(in_shape.c, 10, 3, 1, 1, rng, "entry3x3");
+    FireModule fire(in_shape.c, 8, 9, rng, "entryfire");
+    const bool is_fire = std::strcmp(ec.layer, "fire") == 0;
+    Layer* layer = &fire;
+    if (std::strcmp(ec.layer, "conv1x1") == 0) {
+      layer = &conv1x1;
+    } else if (std::strcmp(ec.layer, "conv3x3") == 0) {
+      layer = &conv3x3;
+    }
+
+    // Deployment state: eval, planned, calibrated by a float capture pass,
+    // then int8. The float hop clears the expand calibrations.
+    const Tensor x = RandomTensor(in_shape, seed * 7, -1.0f, 1.0f);
+    layer->SetTrainingMode(false);
+    layer->PlanKernels(in_shape);
+    layer->SetCalibrationCapture(true);
+    layer->Forward(x);
+    layer->SetCalibrationCapture(false);
+    if (is_fire && !ec.quantized_hop) {
+      fire.expand1x1().ClearInputCalibration();
+      fire.expand3x3().ClearInputCalibration();
+    }
+    layer->SetPrecision(Precision::kInt8);
+
+    float lo = 0.0f;
+    float hi = 0.0f;
+    ASSERT_TRUE(layer->InputCalibration(&lo, &hi)) << label;
+    const ActivationQuant in_quant = ComputeActivationQuant(lo, hi);
+    std::vector<uint8_t> in_codes(static_cast<size_t>(x.size()));
+    QuantizeActivations(x.data(), x.size(), in_quant, in_codes.data());
+    const QuantizedTensorView view{in_codes.data(), in_shape, in_quant.scale,
+                                   in_quant.zero_point};
+
+    // The staged oracle.
+    const Tensor want = layer->Forward(x);
+    const ActivationQuant out_quant = ComputeActivationQuant(want.Min(), want.Max());
+    std::vector<uint8_t> want_codes(static_cast<size_t>(want.size()));
+    QuantizeActivations(want.data(), want.size(), out_quant, want_codes.data());
+
+    const TensorShape out_shape = want.shape();
+    const int64_t rows = static_cast<int64_t>(out_shape.h) * out_shape.w;
+    const int64_t ldc = out_shape.c + kSlicePad;
+    const int64_t sample_stride = rows * ldc + kSampleGap;
+    const size_t buffer = static_cast<size_t>(out_shape.n * sample_stride);
+    std::vector<float> floats(buffer, kCanaryFloat);
+    std::vector<uint8_t> codes(buffer, kCanaryCode);
+    const InputRef input = ec.in == Io::kCodes ? InputRef(view) : InputRef(x);
+    const OutputSpec output =
+        ec.out == Io::kCodes
+            ? OutputSpec::Codes(codes.data() + kSliceOffset, out_quant.scale,
+                                out_quant.zero_point, ldc, sample_stride)
+            : OutputSpec::Floats(floats.data() + kSliceOffset, ldc, sample_stride);
+    EXPECT_TRUE(layer->Infer(input, output).empty()) << label;
+
+    size_t checked = 0;
+    for (size_t i = 0; i < buffer; ++i) {
+      const int64_t n = static_cast<int64_t>(i) / sample_stride;
+      const int64_t within = static_cast<int64_t>(i) % sample_stride - kSliceOffset;
+      const int64_t r = within >= 0 ? within / ldc : -1;
+      const int64_t c = within >= 0 ? within % ldc : -1;
+      const bool in_slice = r >= 0 && r < rows && c < out_shape.c;
+      const size_t oracle = static_cast<size_t>((n * rows + r) * out_shape.c + c);
+      if (ec.out == Io::kFloat) {
+        ASSERT_EQ(codes[i], kCanaryCode) << label;
+        if (in_slice) {
+          ASSERT_EQ(floats[i], want[static_cast<int64_t>(oracle)])
+              << label << " n=" << n << " row=" << r << " c=" << c;
+          ++checked;
+        } else {
+          ASSERT_EQ(floats[i], kCanaryFloat) << label << " wrote outside its slice at " << i;
+        }
+      } else {
+        ASSERT_EQ(floats[i], kCanaryFloat) << label;
+        if (in_slice) {
+          ASSERT_EQ(codes[i], want_codes[oracle])
+              << label << " n=" << n << " row=" << r << " c=" << c;
+          ++checked;
+        } else {
+          ASSERT_EQ(codes[i], kCanaryCode) << label << " wrote outside its slice at " << i;
+        }
+      }
+    }
+    EXPECT_EQ(checked, static_cast<size_t>(want.size())) << label;
   }
 }
 
