@@ -2,7 +2,8 @@
 // vs scalar tile kernel vs the compiled SIMD kernel, fused, threaded, and
 // int8-quantized variants), fire modules, the zero-float plan's code-domain
 // max-pool and ReLU, full-network inference at both profiles (train mode,
-// eval mode, and int8), codec decode,
+// eval mode, and int8), the inference pool's fan-out round trip, codec
+// decode,
 // bitmap-to-tensor preprocessing, and filter-rule matching. The float and
 // int8 entries run on identical layers and inputs so BENCH_*.json tracks
 // the quantization multiplier across PRs.
@@ -333,6 +334,21 @@ void RunSuite(const Options& options) {
     SetDataflowRequantEnabled(true);
     bench("percival_forward_experiment_int8_zerofloat", 20, macs,
           [&] { g_sink += net.ForwardQuantized(view)[0]; });
+    // page_sync's inference pool. No layer of a single-image experiment
+    // forward clears the per-thread fan-out rule, so this tracks the
+    // serial row above.
+    ScopedInferencePool pool(2);
+    bench("percival_forward_experiment_int8_zerofloat_pool2", 20, macs,
+          [&] { g_sink += net.ForwardQuantized(view)[0]; });
+  }
+
+  {
+    // The caller's fixed cost of one fan-out: back-to-back empty 3-way
+    // ParallelFor calls on a pool of 3, one call per rep. The caller claims
+    // most empty iterations before a helper arrives, so this mostly times
+    // its publish, claim and join path.
+    ThreadPool pool(3);
+    bench("inference_fanout_roundtrip_pool3", 2000, 0, [&] { pool.ParallelFor(3, [](int) {}); });
   }
 
   {

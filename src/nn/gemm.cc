@@ -30,6 +30,7 @@ std::atomic<GapCodesMode> g_gap_codes_mode{GapCodesMode::kAuto};
 // statistics, not synchronization.
 std::atomic<uint64_t> g_bytes_gathered{0};
 std::atomic<uint64_t> g_arena_high_water{0};
+std::atomic<uint64_t> g_fan_outs{0};
 
 void MaxArenaHighWater(uint64_t bytes) {
   uint64_t seen = g_arena_high_water.load(std::memory_order_relaxed);
@@ -44,12 +45,14 @@ GemmGatherStats GetGemmGatherStats() {
   GemmGatherStats stats;
   stats.bytes_gathered = g_bytes_gathered.load(std::memory_order_relaxed);
   stats.arena_high_water_bytes = g_arena_high_water.load(std::memory_order_relaxed);
+  stats.fan_outs = g_fan_outs.load(std::memory_order_relaxed);
   return stats;
 }
 
 void ResetGemmGatherStats() {
   g_bytes_gathered.store(0, std::memory_order_relaxed);
   g_arena_high_water.store(0, std::memory_order_relaxed);
+  g_fan_outs.store(0, std::memory_order_relaxed);
 }
 
 void NoteBytesGathered(uint64_t bytes) {
@@ -711,24 +714,44 @@ void GemmInt8PackedImplicitU8(const ImplicitConvViewU8& view, const Int8PackedFi
   gemm_internal::GemmInt8ImplicitScalar(view, packed, quant, bias, epilogue, c, ldc, sink);
 }
 
-void InferenceParallelFor(int64_t total, int64_t macs_per_item,
-                          const std::function<void(int64_t, int64_t)>& fn) {
-  ThreadPool* pool = InferenceThreadPool();
-  const int64_t macs = total * std::max<int64_t>(macs_per_item, 1);
-  if (pool == nullptr || pool->IsWorkerThread() || pool->num_threads() <= 1 ||
-      macs < kMinMacsPerParallelKernel || total <= 1) {
+namespace {
+
+// The one fan-out decision (see kMinMacsPerThread): InferenceParallelFor
+// over the inference pool, GemmNT over its caller's pool. Chunk boundaries
+// are multiples of `align`.
+void PoolParallelFor(ThreadPool* pool, int64_t total, int64_t macs_per_item, int64_t align,
+                     FunctionRef<void(int64_t, int64_t)> fn) {
+  int64_t threads = 1;
+  if (pool != nullptr && !pool->IsWorkerThread()) {
+    threads = std::min({static_cast<int64_t>(pool->num_threads()),
+                        total * std::max<int64_t>(macs_per_item, 1) / kMinMacsPerThread,
+                        (total + align - 1) / align});
+  }
+  if (threads <= 1) {
     fn(0, total);
     return;
   }
-  // Oversubscribe lightly so uneven chunks do not leave workers idle.
-  const int64_t target_chunks = static_cast<int64_t>(pool->num_threads()) * 4;
-  const int64_t chunk = std::max<int64_t>(1, (total + target_chunks - 1) / target_chunks);
+  g_fan_outs.fetch_add(1, std::memory_order_relaxed);
+  // Four chunks per thread, so the caller and polling helpers absorb the
+  // share of a helper that wakes late.
+  const int64_t target_chunks = threads * 4;
+  int64_t chunk = (total + target_chunks - 1) / target_chunks;
+  chunk = (chunk + align - 1) / align * align;
   const int chunks = static_cast<int>((total + chunk - 1) / chunk);
-  pool->ParallelFor(chunks, [&](int index) {
-    const int64_t begin = static_cast<int64_t>(index) * chunk;
-    const int64_t end = std::min(total, begin + chunk);
-    fn(begin, end);
-  });
+  pool->ParallelFor(
+      chunks,
+      [&](int index) {
+        const int64_t begin = static_cast<int64_t>(index) * chunk;
+        fn(begin, std::min(total, begin + chunk));
+      },
+      static_cast<int>(threads));
+}
+
+}  // namespace
+
+void InferenceParallelFor(int64_t total, int64_t macs_per_item,
+                          FunctionRef<void(int64_t, int64_t)> fn) {
+  PoolParallelFor(InferenceThreadPool(), total, macs_per_item, 1, fn);
 }
 
 void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float* bias,
@@ -741,25 +764,13 @@ void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float
   arena.Reset();
   float* packed = arena.Alloc(PackedPanelFloats(n, k, panel_width));
   PackFilterPanels(b, n, k, packed, panel_width);
-
-  const int64_t macs_per_row = static_cast<int64_t>(n) * k;
-  if (pool == nullptr || pool->IsWorkerThread() || pool->num_threads() <= 1 ||
-      m * macs_per_row < kMinMacsPerParallelKernel) {
-    GemmPackedEx(m, n, k, a, packed, bias, GemmEpilogue::kBias, c, n, panel_width);
-    return;
-  }
-  const int64_t target_chunks = static_cast<int64_t>(pool->num_threads()) * 4;
-  // Round chunks to the tile height so only the final chunk ends in an
-  // overlapped (recomputed) tile.
-  int64_t chunk = std::max<int64_t>(kGemmTileM, (m + target_chunks - 1) / target_chunks);
-  chunk = (chunk + kGemmTileM - 1) / kGemmTileM * kGemmTileM;
-  const int chunks = static_cast<int>((m + chunk - 1) / chunk);
-  pool->ParallelFor(chunks, [&](int index) {
-    const int64_t begin = static_cast<int64_t>(index) * chunk;
-    const int64_t end = std::min(m, begin + chunk);
-    GemmPackedEx(end - begin, n, k, a + begin * k, packed, bias, GemmEpilogue::kBias,
-                 c + begin * n, n, panel_width);
-  });
+  // Tile-aligned chunks: only the final chunk ends in an overlapped
+  // (recomputed) tile.
+  PoolParallelFor(pool, m, static_cast<int64_t>(n) * k, kGemmTileM,
+                  [&](int64_t begin, int64_t end) {
+                    GemmPackedEx(end - begin, n, k, a + begin * k, packed, bias,
+                                 GemmEpilogue::kBias, c + begin * n, n, panel_width);
+                  });
 }
 
 }  // namespace percival

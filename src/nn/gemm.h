@@ -12,7 +12,9 @@
 // one-segment view of itself.
 // Every SIMD tier is compiled into the binary and the kernel is picked at
 // runtime by cpuid detection (see simd.h); large problems split their M
-// rows across the shared inference ThreadPool.
+// rows across the shared inference ThreadPool, N ways on a pool of N (the
+// caller included), only when every thread's share clears
+// kMinMacsPerThread (below).
 //
 // The epilogue (bias add, optional ReLU) is folded into the tile store, so
 // a fused Conv->ReLU never materializes the pre-activation tensor, and the
@@ -30,10 +32,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/base/function_ref.h"
 #include "src/nn/simd.h"
 
 namespace percival {
@@ -104,11 +106,14 @@ ScratchArena& LocalArena();
 // family copied into scratch since the last reset — the traffic the
 // implicit gather policy exists to eliminate; `arena_high_water_bytes` is
 // the largest per-arena in-use size any ScratchArena::Alloc reached since
-// the last reset. Both are relaxed atomics: exact single-threaded, and
-// every copy is counted (never torn) under concurrency.
+// the last reset; `fan_outs` counts the InferenceParallelFor and pooled
+// GemmNT calls that passed the per-thread rule (kMinMacsPerThread) and
+// went to the pool. All are relaxed atomics: exact single-threaded,
+// and every event is counted (never torn) under concurrency.
 struct GemmGatherStats {
   uint64_t bytes_gathered = 0;
   uint64_t arena_high_water_bytes = 0;
+  uint64_t fan_outs = 0;
 };
 GemmGatherStats GetGemmGatherStats();
 void ResetGemmGatherStats();
@@ -119,7 +124,9 @@ void NoteBytesGathered(uint64_t bytes);
 
 // Process-wide inference execution knobs. The pool is borrowed, not owned:
 // callers must clear it (set nullptr) before destroying the pool. A null
-// pool (the default) runs every kernel on the calling thread.
+// pool (the default) runs every kernel on the calling thread. A pool of N
+// fans a large kernel out N ways, the calling thread included, under the
+// per-thread rule at kMinMacsPerThread below.
 void SetInferenceThreadPool(ThreadPool* pool);
 ThreadPool* InferenceThreadPool();
 
@@ -482,22 +489,37 @@ void SetGapCodesMode(GapCodesMode mode);
 GapCodesMode GetGapCodesMode();
 
 // Convenience one-shot GEMM: packs `b` (row-major [N x K]) into the local
-// arena and multiplies. When `pool` is non-null and the problem is large
-// enough, M rows are split across the pool. Resets the calling thread's
-// arena — callers must not hold LocalArena() pointers across this call.
+// arena and multiplies. `pool`, when non-null, splits M rows across it
+// under the same per-thread rule as InferenceParallelFor. Resets the
+// calling thread's arena — callers must not hold LocalArena() pointers
+// across this call.
 void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float* bias,
             float* c, ThreadPool* pool = nullptr);
 
-// Minimum multiply-accumulate count before a kernel bothers fanning out to
-// the thread pool; below this the submit/wake latency dominates.
-inline constexpr int64_t kMinMacsPerParallelKernel = 1 << 16;
+// Fan-out profitability, stated per participating thread: a kernel fans
+// out to T threads only if each gets at least kMinMacsPerThread MACs.
+// Derivation: a hot 3-way ThreadPool::ParallelFor round trip (fork, one
+// iteration per thread, join; helpers polling inside
+// ThreadPool::kSpinWindow) measures 1.5–2.5 µs on a 4-vCPU AVX-512 VNNI
+// VM, and the VNNI int8 kernels retire ~150 GMAC/s per core, so one round
+// trip costs as much as ~0.3 M MACs of one thread's work. 2^19 MACs
+// (~3.5 µs) is ~1.75x that: at the minimum share a T-way fan-out saves
+// (T - 1) x 3.5 µs of serial work for one ~2 µs round trip. On a pool of
+// 2 or 3 this leaves an experiment-profile single-image forward serial
+// (its largest conv is 0.44 M MACs) and keeps 19 of the paper profile's
+// 20 conv fan-outs (the smallest kept is 3.2 M MACs; conv_final, 0.2 M,
+// drops). Float kernels are slower per MAC, so the rule is conservative
+// for them.
+inline constexpr int64_t kMinMacsPerThread = int64_t{1} << 19;
 
-// Runs fn(begin, end) over [0, total) in contiguous chunks, using the
-// inference pool when it is set, the range is large enough, and the caller
-// is not already a pool worker (nested fan-out would deadlock the pool's
-// fixed workers). `macs_per_item` scales the profitability test.
+// Runs fn(begin, end) over [0, total) in contiguous chunks. It fans out
+// over the inference pool to T = min(pool threads, total MACs /
+// kMinMacsPerThread) threads, the caller included, in 4T chunks; with
+// T <= 1, no pool, or from a pool worker (nested fan-out would deadlock
+// the pool's fixed workers) it runs fn(0, total) inline. `macs_per_item`
+// is the cost of one item in int8 MACs.
 void InferenceParallelFor(int64_t total, int64_t macs_per_item,
-                          const std::function<void(int64_t, int64_t)>& fn);
+                          FunctionRef<void(int64_t, int64_t)> fn);
 
 }  // namespace percival
 

@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/base/hash.h"
 #include "src/base/rng.h"
@@ -132,6 +135,86 @@ TEST(ThreadPoolTest, ParallelForCoversRange) {
   pool.ParallelFor(50, [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
   for (const auto& hit : hits) {
     EXPECT_EQ(hit.load(), 1);
+  }
+}
+
+TEST(ThreadPoolTest, ConcurrentParallelForRunsEachIndexOnce) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr int kRounds = 300;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&pool, &failures, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        const int count = 2 + (round * 7 + t * 13) % 63;  // 2..64
+        std::vector<std::atomic<int>> hits(static_cast<size_t>(count));
+        pool.ParallelFor(count, [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+        for (const auto& hit : hits) {
+          if (hit.load() != 1) {
+            failures.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) {
+    caller.join();
+  }
+  EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ThreadPoolTest, ParallelForInsideWorkerRunsInline) {
+  ThreadPool pool(3);
+  std::thread::id worker_id;
+  std::vector<std::thread::id> ran_on(16);
+  pool.Submit([&] {
+    worker_id = std::this_thread::get_id();
+    pool.ParallelFor(16, [&ran_on](int i) {
+      ran_on[static_cast<size_t>(i)] = std::this_thread::get_id();
+    });
+  });
+  pool.Wait();
+  for (const std::thread::id& id : ran_on) {
+    EXPECT_EQ(id, worker_id);
+  }
+}
+
+// The caller never waits on a helper that has not claimed an iteration, so
+// fanning out while holding a lock every worker is blocked on completes:
+// the caller runs every iteration itself.
+TEST(ThreadPoolTest, ParallelForCompletesWhileWorkersBlockOnCallersLock) {
+  constexpr int kWorkers = 3;
+  ThreadPool pool(kWorkers);
+  std::mutex held;
+  std::atomic<int> blocked{0};
+  std::unique_lock<std::mutex> lock(held);
+  for (int w = 0; w < kWorkers; ++w) {
+    pool.Submit([&] {
+      blocked.fetch_add(1);
+      std::lock_guard<std::mutex> wait_for_caller(held);
+    });
+  }
+  while (blocked.load() < kWorkers) {
+    std::this_thread::yield();
+  }
+  std::vector<std::atomic<int>> hits(32);
+  pool.ParallelFor(32, [&hits](int i) { hits[static_cast<size_t>(i)].fetch_add(1); });
+  lock.unlock();
+  pool.Wait();
+  for (const auto& hit : hits) {
+    EXPECT_EQ(hit.load(), 1);
+  }
+}
+
+TEST(ThreadPoolTest, DestroyRightAfterParallelFor) {
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> sum{0};
+    {
+      ThreadPool pool(3);
+      pool.ParallelFor(8, [&sum](int i) { sum.fetch_add(i); });
+    }
+    ASSERT_EQ(sum.load(), 28);
   }
 }
 

@@ -126,7 +126,9 @@ TEST(GemmConvParityTest, ThreadedMatchesSerial) {
 
   ThreadPool pool(4);
   SetInferenceThreadPool(&pool);
+  ResetGemmGatherStats();
   Tensor threaded = conv.Forward(input);
+  EXPECT_GT(GetGemmGatherStats().fan_outs, 0u) << "the threaded forward ran serially";
   SetInferenceThreadPool(nullptr);
 
   // Chunk boundaries regroup rows across micro-kernel tiles, which may
@@ -319,7 +321,8 @@ TEST(GemmKernelTest, StridedOutputWritesOnlyItsSlice) {
 }
 
 TEST(GemmKernelTest, PooledMatchesSerial) {
-  const int m = 200, n = 23, k = 50;
+  // 2.3 M MACs: enough for a 3-way fan-out under kMinMacsPerThread.
+  const int m = 2000, n = 23, k = 50;
   Rng rng(53);
   std::vector<float> a(static_cast<size_t>(m) * k);
   std::vector<float> b(static_cast<size_t>(n) * k);
@@ -329,7 +332,9 @@ TEST(GemmKernelTest, PooledMatchesSerial) {
   std::vector<float> pooled(static_cast<size_t>(m) * n);
   GemmNT(m, n, k, a.data(), b.data(), nullptr, serial.data());
   ThreadPool pool(3);
+  ResetGemmGatherStats();
   GemmNT(m, n, k, a.data(), b.data(), nullptr, pooled.data(), &pool);
+  EXPECT_GT(GetGemmGatherStats().fan_outs, 0u) << "the pooled GEMM ran serially";
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_NEAR(serial[i], pooled[i], 1e-5f);
   }
