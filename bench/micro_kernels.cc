@@ -1,10 +1,10 @@
 // Micro-benchmarks for the hot kernels: the conv GEMM engine (naive oracle
 // vs scalar tile kernel vs the compiled SIMD kernel, fused, threaded, and
 // int8-quantized variants), fire modules, the zero-float plan's code-domain
-// max-pool and ReLU, full-network inference at both profiles (train mode,
-// eval mode, and int8), the inference pool's fan-out round trip, codec
-// decode,
-// bitmap-to-tensor preprocessing, and filter-rule matching. The float and
+// max-pool, full-network inference at both profiles (train mode, eval mode,
+// and int8, the deployed paper forward serial and pooled), the inference
+// pool's fan-out round trip, codec decode, bitmap-to-tensor preprocessing
+// (the 224x224x4 resize serial and banded), and filter-rule matching. The float and
 // int8 entries run on identical layers and inputs so BENCH_*.json tracks
 // the quantization multiplier across PRs.
 //
@@ -91,7 +91,7 @@ void RunSuite(const Options& options) {
     bench("conv3x3_gemm_simd" + suffix, reps, macs,
           [&] { g_sink += conv.Forward(input)[0]; });
     bench("conv3x3_gemm_simd_fused_relu" + suffix, reps, macs,
-          [&] { g_sink += conv.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu)[0]; });
+          [&] { g_sink += conv.Infer(input, OutputSpec{}.WithRelu())[0]; });
 
     // Float-vs-int8 on the identical layer and input: the quantized path
     // includes per-forward activation range + quantization, so the GMAC/s
@@ -105,7 +105,7 @@ void RunSuite(const Options& options) {
     bench("conv3x3_gemm_int8_simd" + suffix, reps, macs,
           [&] { g_sink += conv.Forward(input)[0]; });
     bench("conv3x3_gemm_int8_fused_relu" + suffix, reps, macs,
-          [&] { g_sink += conv.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu)[0]; });
+          [&] { g_sink += conv.Infer(input, OutputSpec{}.WithRelu())[0]; });
     conv.SetPrecision(Precision::kFloat32);
   }
 
@@ -352,9 +352,10 @@ void RunSuite(const Options& options) {
   }
 
   {
-    // The zero-float plan's code transforms at deployed shapes: the paper
-    // profile's first 2x2/2 pool (after conv1) and its ReLU, and the
-    // experiment profile's first pool. The 32x32x16 row reads a prefix.
+    // The code max-pool as one serial pass at the shapes the paper and
+    // experiment stems produce. In a planned forward both stems fold this
+    // pool into conv1's store; the rows track the standalone kernel. The
+    // 32x32x16 row reads a prefix.
     Rng rng(6);
     std::vector<uint8_t> codes(static_cast<size_t>(112) * 112 * 64);
     for (auto& v : codes) {
@@ -369,10 +370,6 @@ void RunSuite(const Options& options) {
       MaxPoolCodes(codes.data(), 32, 32, 16, 2, 2, out.data());
       g_sink += static_cast<float>(out[0]);
     });
-    bench("relu_codes_112x112x64", 50, 0, [&] {
-      ReluCodes(codes.data(), static_cast<int64_t>(codes.size()), 128, out.data());
-      g_sink += static_cast<float>(out[0]);
-    });
   }
 
   {
@@ -381,6 +378,31 @@ void RunSuite(const Options& options) {
     Tensor input = RandomTensor(config.InputShape(), 3);
     const int64_t macs = net.ForwardMacs(input.shape());
     bench("percival_forward_paper", 3, macs, [&] { g_sink += net.Forward(input)[0]; });
+
+    // The deployed paper forward (paper_sync's): calibrated int8, the
+    // ranges loaded back as a PCVW v2 trailer would (which also arms
+    // GAP-on-codes), pre-quantized input codes, and the zero-float plan
+    // with conv1's ReLU and 2x2 pool folded into its store. Serial, and on
+    // paper_sync's pool of 3.
+    net.SetTrainingMode(false);
+    net.SetCalibrationCapture(true);
+    net.Forward(RandomTensor(config.InputShape(), 5));
+    net.SetCalibrationCapture(false);
+    net.LoadCalibration(net.CollectCalibration());
+    net.SetPrecision(Precision::kInt8);
+    float lo = 0.0f;
+    float hi = 1.0f;
+    net.layer(0).InputCalibration(&lo, &hi);
+    const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+    std::vector<uint8_t> codes(static_cast<size_t>(input.size()));
+    QuantizeActivations(input.data(), input.size(), quant, codes.data());
+    const QuantizedTensorView view{codes.data(), input.shape(), quant.scale,
+                                   quant.zero_point};
+    bench("percival_forward_paper_int8_zerofloat", 20, macs,
+          [&] { g_sink += net.ForwardQuantized(view)[0]; });
+    ScopedInferencePool pool(3);
+    bench("percival_forward_paper_int8_zerofloat_pool3", 20, macs,
+          [&] { g_sink += net.ForwardQuantized(view)[0]; });
   }
 
   {
@@ -433,12 +455,18 @@ void RunSuite(const Options& options) {
       BitmapToTensorU8Into(ad, 64, 3, 1.0f / 255.0f, 0, codes.data());
       g_sink += static_cast<float>(codes[0]);
     });
-    // The same preprocessing at the paper profile's 224x224x4 input.
+    // The same preprocessing at the paper profile's 224x224x4 input, serial
+    // and with its output rows banded over paper_sync's pool of 3.
     std::vector<uint8_t> paper_codes(static_cast<size_t>(224) * 224 * 4);
-    bench("bitmap_to_tensor_u8_224x4", 30, 0, [&] {
+    auto resize_224x4 = [&] {
       BitmapToTensorU8Into(ad, 224, 4, 1.0f / 255.0f, 0, paper_codes.data());
       g_sink += static_cast<float>(paper_codes[0]);
-    });
+    };
+    bench("resize_u8_224x4", 50, 0, resize_224x4);
+    {
+      ScopedInferencePool pool(3);
+      bench("resize_u8_224x4_pool3", 50, 0, resize_224x4);
+    }
     // The perceptual hash behind dataset dedup and the serving engine's L2
     // near-duplicate probe (one AverageHash per L1 miss when enabled); it
     // reuses a thread-local 8x8 scratch instead of allocating per call.

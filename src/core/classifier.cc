@@ -298,13 +298,14 @@ std::vector<ClassifyResult> AdClassifier::ClassifyBatch(
 
   // Stack the preprocessed samples into one NHWC tensor — or, on the
   // u8-direct path, one NHWC uint8 code buffer (no float staging tensor).
-  // Resize dominates for large creatives, so it fans out over the pool. In
-  // the int8 MACs the fan-out rule counts, resizing costs ~256 per output
-  // element: 0.037 ms per 64x64x3 sample and 0.37 ms per 224x224x4 sample
-  // at ~150 GMAC/s are ~450 and ~275.
+  // Resize dominates for large creatives, so the batch fans out over the
+  // pool one image per item, each charged kResizeMacsPerElement per output
+  // element (the measured weight, see resize.h). Each image's own row bands
+  // then run inline on the thread that took it; a batch too small to fan
+  // out (a single image) bands its rows over the pool instead.
   const int64_t sample_elements = static_cast<int64_t>(config_.input_size) *
                                   config_.input_size * config_.input_channels;
-  const int64_t resize_macs = sample_elements * 256;
+  const int64_t resize_macs = sample_elements * kResizeMacsPerElement;
   Tensor input;
   std::vector<uint8_t>& codes = ThreadCodeBuffer();
   auto preprocess_u8 = [&] {

@@ -10,6 +10,7 @@
 #endif
 
 #include "src/base/logging.h"
+#include "src/nn/gemm.h"
 
 namespace percival {
 namespace {
@@ -29,6 +30,10 @@ namespace {
 // (tests/img_test.cc keeps that evaluation as the oracle). The file is built
 // with -ffp-contract=off: a fused multiply-add would round once instead of
 // twice and break that identity.
+//
+// A call covers a band of output rows [y_begin, y_end): it recomputes the
+// column taps and its band's first horizontal rows, so bands resampled on
+// different threads produce exactly the bytes of one whole-image call.
 //
 // The scratch is per thread and only grows: at 224 px out it is ~10 KB.
 struct ResampleScratch {
@@ -110,19 +115,21 @@ void VerticalPass(const float* top, const float* bottom, float fy, int n, uint8_
 }
 
 // Resamples `source` to out_width x out_height and hands each RGBA8 output
-// row to sink(y, row) in order. A source already at the target size is
-// passed through row by row: the resample is the identity there (every
-// tap lands on a pixel with fx = fy = 0).
+// row y in [y_begin, y_end) to sink(y, row) in order. A source already at
+// the target size is passed through row by row: the resample is the
+// identity there (every tap lands on a pixel with fx = fy = 0).
 template <typename RowSink>
-void ResampleRows(const Bitmap& source, int out_width, int out_height, RowSink&& sink) {
+void ResampleRows(const Bitmap& source, int out_width, int out_height, int y_begin, int y_end,
+                  RowSink&& sink) {
   PCHECK_GE(out_width, 1);
   PCHECK_GE(out_height, 1);
   PCHECK(!source.empty());
+  PCHECK(0 <= y_begin && y_begin <= y_end && y_end <= out_height);
   const int src_w = source.width();
   const int src_h = source.height();
   const size_t src_stride = static_cast<size_t>(src_w) * 4;
   if (src_w == out_width && src_h == out_height) {
-    for (int y = 0; y < out_height; ++y) {
+    for (int y = y_begin; y < y_end; ++y) {
       sink(y, source.data() + y * src_stride);
     }
     return;
@@ -160,7 +167,7 @@ void ResampleRows(const Bitmap& source, int out_width, int out_height, RowSink&&
     HorizontalPass(source.data() + sy * src_stride, s, out_width, s.rows[slot].data());
     return s.rows[slot].data();
   };
-  for (int y = 0; y < out_height; ++y) {
+  for (int y = y_begin; y < y_end; ++y) {
     const float sy = (static_cast<float>(y) + 0.5f) * y_scale - 0.5f;
     const int y0 = std::clamp(static_cast<int>(std::floor(sy)), 0, src_h - 1);
     const int y1 = std::min(y0 + 1, src_h - 1);
@@ -188,6 +195,22 @@ void ConvertRow(const uint8_t* rgba, int width, int channels, T* out, Map map) {
   }
 }
 
+// Resamples `source` to size x size in bands of output rows split over
+// the inference pool, handing every band's rows to `sink`. Each row is
+// charged kResizeMacsPerElement per element under the cold fan-out rule
+// (kMinMacsPerColdThread: the resize opens a classification, so its
+// helpers may be parked). From a pool worker, or while another fan-out
+// owns the pool, it runs inline.
+template <typename RowSink>
+void ResampleRowsBanded(const Bitmap& source, int size, int channels, RowSink&& sink) {
+  InferenceParallelFor(
+      size, kResizeMacsPerElement * size * channels,
+      [&](int64_t begin, int64_t end) {
+        ResampleRows(source, size, size, static_cast<int>(begin), static_cast<int>(end), sink);
+      },
+      kMinMacsPerColdThread);
+}
+
 }  // namespace
 
 Bitmap ResizeBilinear(const Bitmap& source, int out_width, int out_height) {
@@ -203,7 +226,7 @@ void ResizeBilinearInto(const Bitmap& source, int out_width, int out_height, Bit
   }
   uint8_t* dst = out_ptr->data();
   const size_t row_bytes = static_cast<size_t>(out_width) * 4;
-  ResampleRows(source, out_width, out_height, [&](int y, const uint8_t* rgba) {
+  ResampleRows(source, out_width, out_height, 0, out_height, [&](int y, const uint8_t* rgba) {
     std::memcpy(dst + y * row_bytes, rgba, row_bytes);
   });
 }
@@ -217,7 +240,7 @@ Tensor BitmapToTensor(const Bitmap& source, int size, int channels) {
 void BitmapToTensorInto(const Bitmap& source, int size, int channels, float* out) {
   PCHECK(channels == 3 || channels == 4);
   const size_t row_elems = static_cast<size_t>(size) * channels;
-  ResampleRows(source, size, size, [&](int y, const uint8_t* rgba) {
+  ResampleRowsBanded(source, size, channels, [&](int y, const uint8_t* rgba) {
     ConvertRow(rgba, size, channels, out + y * row_elems,
                [](uint8_t p) { return static_cast<float>(p) / 255.0f; });
   });
@@ -240,7 +263,7 @@ void BitmapToTensorU8Into(const Bitmap& source, int size, int channels, float sc
     lut[p] = static_cast<uint8_t>(std::min(255, std::max(0, q)));
   }
   const size_t row_elems = static_cast<size_t>(size) * channels;
-  ResampleRows(source, size, size, [&](int y, const uint8_t* rgba) {
+  ResampleRowsBanded(source, size, channels, [&](int y, const uint8_t* rgba) {
     ConvertRow(rgba, size, channels, out + y * row_elems, [&](uint8_t p) { return lut[p]; });
   });
 }

@@ -5,7 +5,6 @@
 
 #include "src/base/logging.h"
 #include "src/nn/gemm.h"
-#include "src/nn/ops.h"
 
 namespace percival {
 
@@ -47,18 +46,6 @@ void Relu::SetMaskFromOutput(const Tensor& output) {
       mask_[static_cast<size_t>(i)] = 1;
     }
   }
-}
-
-Tensor Relu::Infer(const InputRef& input, const OutputSpec& output) {
-  if (!input.is_codes()) {
-    return Layer::Infer(input, output);
-  }
-  PCHECK(!training_ && output.IsCodeTransformOf(input))
-      << "relu runs codes only as an eval-mode transform";
-  input_shape_ = input.codes.shape;
-  mask_.clear();
-  ReluCodes(input.codes.data, input_shape_.Elements(), input.codes.zero_point, output.codes);
-  return Tensor();
 }
 
 Tensor Relu::Backward(const Tensor& grad_output) {

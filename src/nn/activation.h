@@ -23,11 +23,11 @@ class Relu : public Layer {
   // is exactly the backward state an inference deployment never reads.
   void SetMaskFromOutput(const Tensor& output);
 
-  // Code transform: relu(code) = max(code, zero_point) exactly
-  // (quantize(0) == zp), but it skips the backward mask — eval mode only.
-  // Infer takes codes only under the input's own quantization.
-  bool SupportsCodeTransform() const override { return !training_; }
-  Tensor Infer(const InputRef& input, const OutputSpec& output) override;
+  // In eval mode the dataflow plan folds this ReLU into the emitter in
+  // front of it (its kBiasRelu epilogue); it never runs on codes itself.
+  EmitFold FoldIntoEmitter() const override {
+    return training_ ? EmitFold::kNone : EmitFold::kRelu;
+  }
 
  private:
   std::vector<uint8_t> mask_;  // 1 where input > 0

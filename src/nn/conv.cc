@@ -95,18 +95,23 @@ size_t Conv2D::ForwardScratchFloats(const TensorShape& input) const {
   if (edge_cols >= 0 && ImplicitEligibleInt8()) {
     // Worst chunk spans the whole sample: the u8 edge gather plus a staging
     // block wide enough for the float-logit variant (the u8-codes variant
-    // needs a quarter of it).
+    // needs a quarter of it), plus a pooled emission's band.
     const size_t edge_rows = static_cast<size_t>(out.h) * edge_cols;
     const size_t code_bytes = edge_rows * static_cast<size_t>(k_padded);
-    return (code_bytes + sizeof(float) - 1) / sizeof(float) + edge_rows * out_channels_;
+    return (code_bytes + sizeof(float) - 1) / sizeof(float) + edge_rows * out_channels_ +
+           PooledBandFloats(out);
   }
   const size_t code_bytes = rows * static_cast<size_t>(k_padded);
   return (code_bytes + sizeof(float) - 1) / sizeof(float);
 }
 
+size_t Conv2D::PooledBandFloats(const TensorShape& out) const {
+  return (2 * static_cast<size_t>(out.w) * out_channels_ + sizeof(float) - 1) / sizeof(float);
+}
+
 Tensor Conv2D::Forward(const Tensor& input) {
   if (use_gemm_) {
-    return Infer(input, OutputSpec{}, GemmEpilogue::kBias);
+    return Infer(input, OutputSpec{});
   }
   PCHECK_EQ(input.shape().c, in_channels_) << Name();
   PCHECK(precision_ == Precision::kFloat32)
@@ -120,10 +125,6 @@ Tensor Conv2D::Forward(const Tensor& input) {
     last_input_ = Tensor();
   }
   return ForwardNaive(input);
-}
-
-Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output) {
-  return Infer(input, output, GemmEpilogue::kBias);
 }
 
 void Conv2D::SetWeights(const Tensor& weights, const Tensor& bias) {
@@ -184,6 +185,20 @@ bool Conv2D::PrepareImplicitGather(int height, int width) {
   implicit_ow_lo_ = ow_lo;
   implicit_ow_hi_ = ow_hi;
   return true;
+}
+
+bool Conv2D::AbsorbsEmitFold(EmitFold fold, const TensorShape& input) const {
+  if (!AcceptsQuantizedInput()) {
+    return false;
+  }
+  if (fold != EmitFold::kMaxPool2x2) {
+    return fold == EmitFold::kRelu;
+  }
+  // PrepareImplicitGather's interior test, without building the table.
+  const int out_w = ConvOutputSize(input.w, kernel_, stride_, pad_);
+  const int ow_lo = (pad_ + stride_ - 1) / stride_;
+  const int ow_hi = std::min(out_w, (input.w - kernel_ + pad_) / stride_ + 1);
+  return ImplicitEligibleInt8() && ow_hi > ow_lo;
 }
 
 void Conv2D::SetKernelPlan(const KernelPlan& plan) {
@@ -321,10 +336,11 @@ Tensor Conv2D::ForwardNaive(const Tensor& input) {
   return output;
 }
 
-Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output, GemmEpilogue epilogue) {
+Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output) {
   if (!use_gemm_) {
     // The naive oracle serves Forward's contract and nothing else.
-    PCHECK(!input.is_codes() && output.returns_tensor() && epilogue == GemmEpilogue::kBias)
+    PCHECK(!input.is_codes() && output.returns_tensor() && !output.relu &&
+           !output.max_pool_2x2)
         << Name() << " the naive path runs only float in, fresh float tensor out";
     return Forward(*input.floats);
   }
@@ -333,6 +349,9 @@ Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output, GemmEpilog
   PCHECK((!input.is_codes() && output.codes == nullptr) || AcceptsQuantizedInput())
       << Name() << " code input or output requires int8 precision and eval mode";
   PCHECK(!input.is_codes() || input.codes.data != nullptr) << Name();
+  const bool pool = output.max_pool_2x2;
+  PCHECK(!pool || (output.codes != nullptr && (output.ldc == 0 || output.ldc == out_channels_)))
+      << Name() << " a pooled emission writes dense rows of codes";
   if (training_) {
     last_input_ = *input.floats;  // training implies float input (checked above)
   } else {
@@ -340,6 +359,7 @@ Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output, GemmEpilog
     // later Backward.
     last_input_ = Tensor();
   }
+  const GemmEpilogue epilogue = output.relu ? GemmEpilogue::kBiasRelu : GemmEpilogue::kBias;
   const TensorShape out_shape = OutputShape(in_shape);
   Tensor fresh;
   float* floats = output.floats;
@@ -347,10 +367,13 @@ Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output, GemmEpilog
     fresh = Tensor(out_shape);
     floats = fresh.data();
   }
+  // Strides address the map this call stores: the pooled one under a pool.
+  const int64_t stored_pixels =
+      pool ? static_cast<int64_t>(out_shape.h / 2) * (out_shape.w / 2)
+           : static_cast<int64_t>(out_shape.h) * out_shape.w;
   const int64_t ldc = output.ldc > 0 ? output.ldc : out_shape.c;
-  const int64_t sample_stride = output.sample_stride > 0
-                                    ? output.sample_stride
-                                    : static_cast<int64_t>(out_shape.h) * out_shape.w * ldc;
+  const int64_t sample_stride =
+      output.sample_stride > 0 ? output.sample_stride : stored_pixels * ldc;
   if (!input.is_codes() && calibration_capture_) {
     // Accumulate the observed input range across the calibration batch.
     float lo = 0.0f;
@@ -378,10 +401,10 @@ Tensor Conv2D::Infer(const InputRef& input, const OutputSpec& output, GemmEpilog
   if (output.codes != nullptr) {
     Int8ForwardOverCodes(codes, in_shape, quant, epilogue,
                          ActivationQuant{output.scale, output.zero_point}, output.codes, ldc,
-                         sample_stride);
+                         sample_stride, pool);
   } else {
     Int8ForwardOverCodes(codes, in_shape, quant, epilogue, ActivationQuant{}, floats, ldc,
-                         sample_stride);
+                         sample_stride, false);
   }
   return fresh;
 }
@@ -553,7 +576,7 @@ template <typename OutT>
 void Conv2D::Int8ForwardOverCodes(const uint8_t* codes, const TensorShape& in_shape,
                                   const ActivationQuant& quant, GemmEpilogue epilogue,
                                   const ActivationQuant& out_quant, OutT* out, int64_t ldc,
-                                  int64_t sample_stride) {
+                                  int64_t sample_stride, bool pool) {
   const TensorShape out_shape = OutputShape(in_shape);
   const int row_len = kernel_ * kernel_ * in_channels_;
   const int k_padded = Int8PaddedK(row_len);
@@ -571,9 +594,10 @@ void Conv2D::Int8ForwardOverCodes(const uint8_t* codes, const TensorShape& in_sh
 
   if (ImplicitEligibleInt8() && PrepareImplicitGather(in_shape.h, in_shape.w)) {
     Int8ImplicitOverCodes(codes, in_shape, quant, epilogue, out_quant, out, ldc,
-                          sample_stride);
+                          sample_stride, pool);
     return;
   }
+  PCHECK(!pool) << Name() << " pools in its store only on the implicit gather";
   // A 1x1 conv whose channel count is already a multiple of the int8 K
   // unit needs no gather at all: the quantized input rows ARE the A rows.
   const bool direct_rows = identity_patches && k_padded == row_len;
@@ -627,17 +651,20 @@ template <typename OutT>
 void Conv2D::Int8ImplicitOverCodes(const uint8_t* codes, const TensorShape& in_shape,
                                    const ActivationQuant& quant, GemmEpilogue epilogue,
                                    const ActivationQuant& out_quant, OutT* out, int64_t ldc,
-                                   int64_t sample_stride) {
+                                   int64_t sample_stride, bool pool) {
   const TensorShape out_shape = OutputShape(in_shape);
   const int row_len = kernel_ * kernel_ * in_channels_;
   const int k_padded = Int8PaddedK(row_len);  // == row_len by the eligibility gate
   const int out_w = out_shape.w;
-  const int64_t out_h = out_shape.h;
-  const int64_t total_oh = static_cast<int64_t>(out_shape.n) * out_h;
+  // Work items are output rows, or pairs of them under a pool (a floor pool
+  // never computes an odd last row).
+  const int64_t item_rows = pool ? 2 : 1;
+  const int64_t items = out_shape.h / item_rows;
   const int ow_lo = implicit_ow_lo_;
   const int ow_hi = implicit_ow_hi_;
   const int edge_cols = ow_lo + (out_w - ow_hi);
   const int64_t sample_codes = static_cast<int64_t>(in_shape.h) * in_shape.w * in_shape.c;
+  const int64_t pooled_row = static_cast<int64_t>(out_w / 2) * out_channels_;
   const Int8PackedFilters& packed = PackedFiltersInt8();
   const uint8_t pad_code = static_cast<uint8_t>(quant.zero_point);
   // The u8 kernels read vertical pad taps from this segment of zero-point
@@ -646,53 +673,41 @@ void Conv2D::Int8ImplicitOverCodes(const uint8_t* codes, const TensorShape& in_s
   zero_row_u8_.assign(static_cast<size_t>(kernel_) * in_channels_, pad_code);
   const float* bias = bias_.value.data();
   InferenceParallelFor(
-      total_oh, static_cast<int64_t>(out_w) * row_len * out_channels_,
+      out_shape.n * items, item_rows * out_w * row_len * out_channels_,
       [&](int64_t begin, int64_t end) {
         ScratchArena& arena = LocalArena();
         while (begin < end) {
-          const int n = static_cast<int>(begin / out_h);
-          const int64_t oh0 = begin % out_h;
-          const int64_t oh1 = std::min(out_h, oh0 + (end - begin));
+          const int n = static_cast<int>(begin / items);
+          const int64_t i0 = begin % items;
+          const int64_t i1 = std::min(items, i0 + (end - begin));
+          const int64_t oh0 = i0 * item_rows;
+          const int64_t oh1 = i1 * item_rows;
           const uint8_t* sample = codes + n * sample_codes;
-          OutT* c_sample = out + n * sample_stride;
-          ImplicitConvViewU8 view;
-          view.base = sample;
-          view.offsets = implicit_offsets_.data();
-          view.zero_row = zero_row_u8_.data();
-          view.segments = kernel_;
-          view.seg_len = kernel_ * in_channels_;
-          view.col_stride = stride_ * in_channels_;
-          view.run_w = ow_hi - ow_lo;
-          view.oh_begin = oh0;
-          view.oh_end = oh1;
-          view.c_row_stride = static_cast<int64_t>(out_w) * ldc;
-          OutT* c_interior = c_sample + (oh0 * out_w + ow_lo) * ldc;
-          if constexpr (std::is_same_v<OutT, uint8_t>) {
-            GemmInt8PackedImplicitU8(view, packed, quant, bias, epilogue, out_quant,
-                                     c_interior, ldc);
-          } else {
-            GemmInt8PackedImplicit(view, packed, quant, bias, epilogue, c_interior, ldc);
+          // Batch the chunk's edge columns into ONE GEMM: per-row calls
+          // leave m below the int8 row tile, so every edge pixel would run
+          // in the scalar remainder. Edge outputs are not contiguous, so
+          // the GEMM lands in compact staging scratch and each row then
+          // scatters to its slot. One Alloc covers gather, stage and the
+          // pooled band: a second Alloc could retire (and move) the first.
+          const int64_t edge_rows = (oh1 - oh0) * edge_cols;
+          const size_t code_floats =
+              (static_cast<size_t>(edge_rows) * k_padded + sizeof(float) - 1) / sizeof(float);
+          const size_t stage_floats =
+              (static_cast<size_t>(edge_rows) * out_channels_ * sizeof(OutT) +
+               sizeof(float) - 1) /
+              sizeof(float);
+          const size_t band_floats = pool ? PooledBandFloats(out_shape) : 0;
+          float* block = nullptr;
+          OutT* stage = nullptr;
+          OutT* band = nullptr;
+          if (edge_cols > 0 || pool) {
+            arena.Reset();
+            block = arena.Alloc(code_floats + stage_floats + band_floats);
+            stage = reinterpret_cast<OutT*>(block + code_floats);
+            band = reinterpret_cast<OutT*>(block + code_floats + stage_floats);
           }
           if (edge_cols > 0) {
-            // Batch the chunk's edge columns into ONE GEMM: per-row calls
-            // leave m below the int8 row tile, so every edge pixel would run
-            // in the scalar remainder. Edge outputs are not contiguous, so
-            // the GEMM lands in compact staging scratch and each row then
-            // scatters to its slot. One Alloc covers gather + stage: a
-            // second Alloc could retire (and move) the first block.
-            const int64_t edge_rows = (oh1 - oh0) * edge_cols;
-            const size_t code_floats =
-                (static_cast<size_t>(edge_rows) * k_padded + sizeof(float) - 1) /
-                sizeof(float);
-            const size_t stage_floats =
-                (static_cast<size_t>(edge_rows) * out_channels_ * sizeof(OutT) +
-                 sizeof(float) - 1) /
-                sizeof(float);
-            arena.Reset();
-            float* block = arena.Alloc(code_floats + stage_floats);
-            uint8_t* chunk = reinterpret_cast<uint8_t*>(block);
-            OutT* stage = reinterpret_cast<OutT*>(block + code_floats);
-            uint8_t* dst = chunk;
+            uint8_t* dst = reinterpret_cast<uint8_t*>(block);
             for (int64_t oh = oh0; oh < oh1; ++oh) {
               const int64_t r = oh * out_w;
               if (ow_lo > 0) {
@@ -706,6 +721,7 @@ void Conv2D::Int8ImplicitOverCodes(const uint8_t* codes, const TensorShape& in_s
                 dst += static_cast<int64_t>(out_w - ow_hi) * k_padded;
               }
             }
+            const uint8_t* chunk = reinterpret_cast<const uint8_t*>(block);
             if constexpr (std::is_same_v<OutT, uint8_t>) {
               GemmInt8PackedExU8(edge_rows, chunk, packed, quant, bias, epilogue, out_quant,
                                  stage, out_channels_);
@@ -713,18 +729,52 @@ void Conv2D::Int8ImplicitOverCodes(const uint8_t* codes, const TensorShape& in_s
               GemmInt8PackedEx(edge_rows, chunk, packed, quant, bias, epilogue, stage,
                                out_channels_);
             }
-            const OutT* src = stage;
-            for (int64_t oh = oh0; oh < oh1; ++oh) {
-              OutT* c_row = c_sample + oh * out_w * ldc;
+          }
+          // Output rows [a, b) into c, rows out_w * c_ldc apart: the
+          // interior streams from the codes, the edges come from the stage.
+          auto store_rows = [&](int64_t a, int64_t b, OutT* c, int64_t c_ldc) {
+            ImplicitConvViewU8 view;
+            view.base = sample;
+            view.offsets = implicit_offsets_.data();
+            view.zero_row = zero_row_u8_.data();
+            view.segments = kernel_;
+            view.seg_len = kernel_ * in_channels_;
+            view.col_stride = stride_ * in_channels_;
+            view.run_w = ow_hi - ow_lo;
+            view.oh_begin = a;
+            view.oh_end = b;
+            view.c_row_stride = out_w * c_ldc;
+            if constexpr (std::is_same_v<OutT, uint8_t>) {
+              GemmInt8PackedImplicitU8(view, packed, quant, bias, epilogue, out_quant,
+                                       c + ow_lo * c_ldc, c_ldc);
+            } else {
+              GemmInt8PackedImplicit(view, packed, quant, bias, epilogue, c + ow_lo * c_ldc,
+                                     c_ldc);
+            }
+            const OutT* src = stage + (a - oh0) * edge_cols * out_channels_;
+            for (int64_t oh = a; oh < b && edge_cols > 0; ++oh) {
+              OutT* c_row = c + (oh - a) * view.c_row_stride;
               for (int e = 0; e < ow_lo; ++e, src += out_channels_) {
-                std::memcpy(c_row + e * ldc, src, sizeof(OutT) * out_channels_);
+                std::memcpy(c_row + e * c_ldc, src, sizeof(OutT) * out_channels_);
               }
               for (int e = ow_hi; e < out_w; ++e, src += out_channels_) {
-                std::memcpy(c_row + e * ldc, src, sizeof(OutT) * out_channels_);
+                std::memcpy(c_row + e * c_ldc, src, sizeof(OutT) * out_channels_);
               }
             }
+          };
+          OutT* c_sample = out + n * sample_stride;
+          if (!pool) {
+            store_rows(oh0, oh1, c_sample + oh0 * out_w * ldc, ldc);
+          } else if constexpr (std::is_same_v<OutT, uint8_t>) {
+            // Each pair of conv rows fills the band, which pools straight
+            // into the pair's pooled row.
+            for (int64_t oh = oh0; oh < oh1; oh += 2) {
+              store_rows(oh, oh + 2, band, out_channels_);
+              MaxPoolCodes(band, 2, out_w, out_channels_, 2, 2,
+                           c_sample + (oh / 2) * pooled_row);
+            }
           }
-          begin += oh1 - oh0;
+          begin += i1 - i0;
         }
       });
 }

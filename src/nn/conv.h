@@ -12,15 +12,18 @@
 //   * naive — the original per-output-channel dot-product loop, kept as the
 //     bit-for-bit oracle the parity tests compare against.
 //
-// Inference runs through ONE entry, Infer(input, output, epilogue): the
-// input is a float tensor or uint8 codes (InputRef), the output a fresh
-// float tensor, a caller float buffer, or uint8 codes requantized in the
-// GEMM store under a caller-chosen quantization (OutputSpec). Caller
-// buffers take a row stride (ldc) and a sample stride, which is how
-// FireModule writes its expand branches straight into channel slices of
-// the concat output. The epilogue fuses bias + activation into the store,
-// which is how Conv->ReLU avoids a pre-activation tensor. Forward() is
-// Infer with a fresh tensor and the kBias epilogue.
+// Inference runs through ONE entry, Infer(input, output): the input is a
+// float tensor or uint8 codes (InputRef), the output a fresh float tensor,
+// a caller float buffer, or uint8 codes requantized in the GEMM store under
+// a caller-chosen quantization (OutputSpec). Caller buffers take a row
+// stride (ldc) and a sample stride, which is how FireModule writes its
+// expand branches straight into channel slices of the concat output. The
+// spec's `relu` fold selects the kBiasRelu epilogue, which is how
+// Conv->ReLU avoids a pre-activation tensor; its `max_pool_2x2` fold makes
+// a pooled emission on the implicit gather: each thread writes its output
+// rows in pairs to a band of two rows (14 KiB on the paper stem) and
+// max-pools each pair straight into the destination, so the unpooled map
+// is never written whole. Forward() is Infer with a fresh tensor and no fold.
 //
 // SetPrecision(Precision::kInt8) switches the GEMM forward to the quantized
 // engine: per-output-channel int8 weights are quantized at pack time and
@@ -65,10 +68,8 @@ class Conv2D : public Layer {
   int64_t ForwardMacs(const TensorShape& input) const override;
   size_t ForwardScratchFloats(const TensorShape& input) const override;
 
-  // The inference entry (see the header comment): Infer(input, output)
-  // runs the kBias epilogue, the three-argument form any GemmEpilogue.
+  // The inference entry (see the header comment).
   Tensor Infer(const InputRef& input, const OutputSpec& output) override;
-  Tensor Infer(const InputRef& input, const OutputSpec& output, GemmEpilogue epilogue);
 
   // Replaces the weight/bias values (shape-checked) and invalidates the
   // packed-panel cache. Prefer this over mutating weights().value in place,
@@ -115,6 +116,13 @@ class Conv2D : public Layer {
   // need the GEMM path, int8 precision, and eval mode.
   bool AcceptsQuantizedInput() const override;
   bool CanEmitQuantizedCodes() const override { return AcceptsQuantizedInput(); }
+  // Every fold in int8 eval mode, except that the 2x2/2 pool needs the
+  // implicit gather (and an interior for this input width). On the
+  // materialized gather (the experiment stem, K = 27) a pooled emission
+  // measured slower in place: page_sync decision_ms_p90 read 0.212–0.219 ms
+  // with it against 0.182–0.191 ms at the parent and 0.186–0.191 ms with the
+  // pool left a code transform (20 s runs, seeds 11–12).
+  bool AbsorbsEmitFold(EmitFold fold, const TensorShape& input) const override;
 
   // Input-range calibration: when set, the int8 forward derives its
   // activation quantization from this range instead of scanning the input
@@ -145,7 +153,7 @@ class Conv2D : public Layer {
   void Int8ImplicitOverCodes(const uint8_t* codes, const TensorShape& in_shape,
                              const ActivationQuant& quant, GemmEpilogue epilogue,
                              const ActivationQuant& out_quant, OutT* out, int64_t ldc,
-                             int64_t sample_stride);
+                             int64_t sample_stride, bool pool);
   // True when the current plan + layer geometry support the implicit gather
   // at all (multi-tap kernel). The int8 path additionally requires the
   // per-tap K segment to be kInt8KUnit-aligned so packed K groups never
@@ -159,12 +167,17 @@ class Conv2D : public Layer {
   // Shared tail of every int8 Infer: patch-gathers `codes` (whole-sample
   // uint8 NHWC codes) into (kh, kw, c) rows and runs the quantized GEMM,
   // storing either dequantized floats (OutT = float; out_quant ignored) or
-  // requantized consumer codes (OutT = uint8_t).
+  // requantized consumer codes (OutT = uint8_t), pooled 2x2/2 when `pool`
+  // (codes on the implicit gather only; ldc and sample_stride then address
+  // the pooled map).
   template <typename OutT>
   void Int8ForwardOverCodes(const uint8_t* codes, const TensorShape& in_shape,
                             const ActivationQuant& quant, GemmEpilogue epilogue,
                             const ActivationQuant& out_quant, OutT* out, int64_t ldc,
-                            int64_t sample_stride);
+                            int64_t sample_stride, bool pool);
+  // Arena floats that hold one pooled emission band: two output rows of
+  // codes.
+  size_t PooledBandFloats(const TensorShape& out) const;
   // Front half of a float-input int8 Infer: applies calibration (or
   // observes the range), quantizes the input into quantized_input_, and
   // returns the chosen activation quant.

@@ -150,6 +150,7 @@ Tensor FireModule::Infer(const InputRef& input, const OutputSpec& output) {
   }
   PCHECK(AcceptsQuantizedInput())
       << Name() << " code input, code output, and caller buffers need int8 eval convs";
+  PCHECK(!output.max_pool_2x2) << Name() << " takes no pool fold";
   ActivationQuant hop;
   return RunFused(input, output, QuantizedSqueezeHop(&hop) ? &hop : nullptr);
 }
@@ -166,12 +167,12 @@ Tensor FireModule::RunFused(const InputRef& input, const OutputSpec& output,
   QuantizedTensorView squeezed_codes{};
   if (hop != nullptr) {
     squeezed_codes_.resize(static_cast<size_t>(squeezed_shape.Elements()));
-    squeeze_.Infer(input, OutputSpec::Codes(squeezed_codes_.data(), hop->scale, hop->zero_point),
-                   GemmEpilogue::kBiasRelu);
+    squeeze_.Infer(input, OutputSpec::Codes(squeezed_codes_.data(), hop->scale, hop->zero_point)
+                              .WithRelu());
     squeezed_codes = QuantizedTensorView{squeezed_codes_.data(), squeezed_shape, hop->scale,
                                          hop->zero_point};
   } else {
-    squeezed = squeeze_.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu);
+    squeezed = squeeze_.Infer(input, OutputSpec{}.WithRelu());
     squeeze_relu_.SetMaskFromOutput(squeezed);
   }
   const InputRef expand_input = hop != nullptr ? InputRef(squeezed_codes) : InputRef(squeezed);
@@ -180,21 +181,21 @@ Tensor FireModule::RunFused(const InputRef& input, const OutputSpec& output,
   // channel-half of the output: no expand intermediates, no interleave
   // copy, no separate ReLU sweep.
   Tensor joined;
-  OutputSpec half = output;
+  OutputSpec half = output.WithRelu();
   if (output.returns_tensor()) {
     joined = Tensor(OutputShape(in_shape));
-    half = OutputSpec::Floats(joined.data());
+    half = OutputSpec::Floats(joined.data()).WithRelu();
   }
   if (half.ldc == 0) {
     half.ldc = out_channels();  // a half is never dense
   }
-  expand1x1_.Infer(expand_input, half, GemmEpilogue::kBiasRelu);
+  expand1x1_.Infer(expand_input, half);
   if (half.floats != nullptr) {
     half.floats += expand_channels_;
   } else {
     half.codes += expand_channels_;
   }
-  expand3x3_.Infer(expand_input, half, GemmEpilogue::kBiasRelu);
+  expand3x3_.Infer(expand_input, half);
   if (output.returns_tensor()) {
     expand_relu_.SetMaskFromOutput(joined);
   }

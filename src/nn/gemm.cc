@@ -720,11 +720,11 @@ namespace {
 // over the inference pool, GemmNT over its caller's pool. Chunk boundaries
 // are multiples of `align`.
 void PoolParallelFor(ThreadPool* pool, int64_t total, int64_t macs_per_item, int64_t align,
-                     FunctionRef<void(int64_t, int64_t)> fn) {
+                     int64_t min_macs_per_thread, FunctionRef<void(int64_t, int64_t)> fn) {
   int64_t threads = 1;
   if (pool != nullptr && !pool->IsWorkerThread()) {
     threads = std::min({static_cast<int64_t>(pool->num_threads()),
-                        total * std::max<int64_t>(macs_per_item, 1) / kMinMacsPerThread,
+                        total * std::max<int64_t>(macs_per_item, 1) / min_macs_per_thread,
                         (total + align - 1) / align});
   }
   if (threads <= 1) {
@@ -750,8 +750,8 @@ void PoolParallelFor(ThreadPool* pool, int64_t total, int64_t macs_per_item, int
 }  // namespace
 
 void InferenceParallelFor(int64_t total, int64_t macs_per_item,
-                          FunctionRef<void(int64_t, int64_t)> fn) {
-  PoolParallelFor(InferenceThreadPool(), total, macs_per_item, 1, fn);
+                          FunctionRef<void(int64_t, int64_t)> fn, int64_t min_macs_per_thread) {
+  PoolParallelFor(InferenceThreadPool(), total, macs_per_item, 1, min_macs_per_thread, fn);
 }
 
 void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float* bias,
@@ -766,7 +766,7 @@ void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float
   PackFilterPanels(b, n, k, packed, panel_width);
   // Tile-aligned chunks: only the final chunk ends in an overlapped
   // (recomputed) tile.
-  PoolParallelFor(pool, m, static_cast<int64_t>(n) * k, kGemmTileM,
+  PoolParallelFor(pool, m, static_cast<int64_t>(n) * k, kGemmTileM, kMinMacsPerThread,
                   [&](int64_t begin, int64_t end) {
                     GemmPackedEx(end - begin, n, k, a + begin * k, packed, bias,
                                  GemmEpilogue::kBias, c + begin * n, n, panel_width);

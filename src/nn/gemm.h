@@ -512,14 +512,27 @@ void GemmNT(int64_t m, int n, int k, const float* a, const float* b, const float
 // for them.
 inline constexpr int64_t kMinMacsPerThread = int64_t{1} << 19;
 
+// The same rule for a pass that opens a classification, the resize: no
+// fan-out of a single-image experiment forward wakes the pool, so on
+// page_sync every resize finds its helpers parked, and a parked helper
+// costs ~20 µs to wake (ThreadPool::kSpinWindow), ~3 M MACs of one
+// thread's VNNI work. Banding the 64x64x3 resize (0.021–0.035 ms serial)
+// over page_sync's pool of 2 under kMinMacsPerThread moved its
+// decision_ms_p50 0.137 → 0.148 ms (10 pairs, 1/10 won); with that resize
+// serial the same workload read 0.142 → 0.145 ms (5/10). 2^22 MACs
+// (~28 µs) per thread covers the wake: the 64x64x3 resize (3.1 M) stays
+// serial and the 224x224x4 one (51 M) splits 3 ways.
+inline constexpr int64_t kMinMacsPerColdThread = int64_t{1} << 22;
+
 // Runs fn(begin, end) over [0, total) in contiguous chunks. It fans out
 // over the inference pool to T = min(pool threads, total MACs /
-// kMinMacsPerThread) threads, the caller included, in 4T chunks; with
+// min_macs_per_thread) threads, the caller included, in 4T chunks; with
 // T <= 1, no pool, or from a pool worker (nested fan-out would deadlock
 // the pool's fixed workers) it runs fn(0, total) inline. `macs_per_item`
 // is the cost of one item in int8 MACs.
 void InferenceParallelFor(int64_t total, int64_t macs_per_item,
-                          FunctionRef<void(int64_t, int64_t)> fn);
+                          FunctionRef<void(int64_t, int64_t)> fn,
+                          int64_t min_macs_per_thread = kMinMacsPerThread);
 
 }  // namespace percival
 

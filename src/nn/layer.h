@@ -68,6 +68,8 @@ struct KernelPlanRow {
   bool implicit = false;  // forward streams activations in place (no im2col)
   bool int8 = false;
   bool u8_direct = false;  // layer would accept a pre-quantized u8 input
+  std::string folds;       // layers the dataflow plan folded into this emitter,
+                           // e.g. "+relu +pool2x2"; empty when none
 };
 
 // A borrowed view of an already-quantized uint8 activation tensor:
@@ -102,6 +104,13 @@ struct InputRef {
 // lands at out + n * sample_stride + row * ldc, so ldc >= the layer's
 // output channels targets a channel slice of a wider tensor. 0 means dense
 // for either stride.
+//
+// Two folds ride on the spec, applied in the store of a layer that takes
+// them (a conv; see the FUSED EMITTER role below): `relu` clamps at zero
+// (the kBiasRelu epilogue), and `max_pool_2x2` max-pools the stored map 2x2
+// with stride 2 (floor sizing, as MaxPool2D), so the unpooled map is never
+// written whole. A pooled spec writes codes into dense rows; ldc, the
+// sample stride and the shape all describe the pooled map.
 struct OutputSpec {
   float* floats = nullptr;
   uint8_t* codes = nullptr;
@@ -109,6 +118,8 @@ struct OutputSpec {
   int32_t zero_point = 0;
   int64_t ldc = 0;
   int64_t sample_stride = 0;
+  bool relu = false;
+  bool max_pool_2x2 = false;
 
   static OutputSpec Floats(float* out, int64_t ldc = 0, int64_t sample_stride = 0) {
     OutputSpec spec;
@@ -127,13 +138,23 @@ struct OutputSpec {
     spec.sample_stride = sample_stride;
     return spec;
   }
+  OutputSpec WithRelu() const {
+    OutputSpec spec = *this;
+    spec.relu = true;
+    return spec;
+  }
   bool returns_tensor() const { return floats == nullptr && codes == nullptr; }
   // A transform's spec: dense codes under the input's own quantization.
   bool IsCodeTransformOf(const InputRef& input) const {
     return input.is_codes() && codes != nullptr && scale == input.codes.scale &&
-           zero_point == input.codes.zero_point && ldc == 0 && sample_stride == 0;
+           zero_point == input.codes.zero_point && ldc == 0 && sample_stride == 0 && !relu &&
+           !max_pool_2x2;
   }
 };
+
+// What a layer is to the emitter in front of it: an eval ReLU is a `relu`
+// fold, an eval 2x2/2 max-pool a `max_pool_2x2` fold (see OutputSpec).
+enum class EmitFold : uint8_t { kNone, kRelu, kMaxPool2x2 };
 
 // A trainable weight with its gradient accumulator.
 struct Parameter {
@@ -198,14 +219,29 @@ class Layer {
   //   * EMITTER (CanEmitQuantizedCodes): a codes output spec under a
   //     caller-chosen quantization — the downstream consumer's calibrated
   //     input quant. Int8-eval convs and fire modules.
+  //   * FUSED EMITTER (AbsorbsEmitFold): an emitter that also takes some
+  //     of the spec's folds for a given input shape. The planner folds an
+  //     eval ReLU that directly follows it, then an eval 2x2/2 max-pool
+  //     (EmitFold), into its store; the folded layers leave the plan.
+  //     Int8-eval convs take the ReLU always and the pool on the implicit
+  //     gather: the paper stem writes its rows in pairs to a per-thread band
+  //     and pools the band straight into the destination, so the unpooled
+  //     map is never written whole. Exact, because ReLU and max commute
+  //     with the monotone requant (relu(code) = max(code, zp) because
+  //     quantize(0) == zp).
   //   * TRANSFORM (SupportsCodeTransform): codes in, dense codes out under
-  //     the input's own quantization. Eval ReLU and MaxPool: quantization
-  //     is monotone, so max-based ops commute with it exactly
-  //     (relu(code) = max(code, zp) because quantize(0) == zp).
+  //     the input's own quantization. Eval MaxPool, by the same
+  //     commutation; it splits its output rows over the inference pool.
   //   * everything else breaks the code chain and runs float -> float.
   virtual bool AcceptsQuantizedInput() const { return false; }
   virtual bool CanEmitQuantizedCodes() const { return false; }
   virtual bool SupportsCodeTransform() const { return false; }
+  virtual bool AbsorbsEmitFold(EmitFold fold, const TensorShape& input) const {
+    (void)fold;
+    (void)input;
+    return false;
+  }
+  virtual EmitFold FoldIntoEmitter() const { return EmitFold::kNone; }
 
   // Calibration protocol. Capture mode (SetCalibrationCapture(true) resets
   // any previous range and starts accumulating; false stops and keeps the

@@ -72,31 +72,58 @@ void Network::PlanDataflow(const std::vector<TensorShape>& input_shapes) {
   // Walk the layer list linking emitters to consumers.
   size_t max_code_bytes = 0;
   size_t i = 0;
-  while (i < layers_.size()) {
+  const size_t count = layers_.size();
+  while (i < count) {
     bool linked = false;
     if (layers_[i]->CanEmitQuantizedCodes()) {
+      // A fused emitter absorbs an eval ReLU right behind it, then an eval
+      // 2x2/2 max-pool: those layers fold into its store.
+      size_t j = i + 1;
+      bool relu = false;
+      bool pool = false;
+      auto absorbs = [&](EmitFold fold) {
+        return j < count && layers_[j]->FoldIntoEmitter() == fold &&
+               layers_[i]->AbsorbsEmitFold(fold, input_shapes[i]);
+      };
+      if (absorbs(EmitFold::kRelu)) {
+        relu = true;
+        ++j;
+      }
+      if (absorbs(EmitFold::kMaxPool2x2)) {
+        pool = true;
+        ++j;
+      }
+      const size_t folded_end = j;
       // The link holds if every layer until the next non-transform is a
       // code transform and that consumer takes quantized input with a
       // calibrated range (the range supplies the emit quantization).
-      size_t j = i + 1;
-      while (j < layers_.size() && layers_[j]->SupportsCodeTransform()) {
+      while (j < count && layers_[j]->SupportsCodeTransform()) {
         ++j;
       }
       float min_value = 0.0f;
       float max_value = 0.0f;
-      if (j < layers_.size() && layers_[j]->AcceptsQuantizedInput() &&
+      if (j < count && layers_[j]->AcceptsQuantizedInput() &&
           layers_[j]->InputCalibration(&min_value, &max_value)) {
         // The emitter writes the consumer's quantization and every
         // transform in between preserves it.
         const ActivationQuant quant = ComputeActivationQuant(min_value, max_value);
         for (size_t t = i; t < j; ++t) {
-          dataflow_[t].mode = t == i ? DataflowStep::Mode::kEmit : DataflowStep::Mode::kTransform;
-          dataflow_[t].scale = quant.scale;
-          dataflow_[t].zero_point = quant.zero_point;
-          dataflow_[t].out_shape = layers_[t]->OutputShape(input_shapes[t]);
-          max_code_bytes = std::max(
-              max_code_bytes, static_cast<size_t>(dataflow_[t].out_shape.Elements()));
+          DataflowStep& step = dataflow_[t];
+          if (t > i && t < folded_end) {
+            step.mode = DataflowStep::Mode::kFolded;
+            continue;
+          }
+          step.mode = t == i ? DataflowStep::Mode::kEmit : DataflowStep::Mode::kTransform;
+          step.scale = quant.scale;
+          step.zero_point = quant.zero_point;
+          // The emitter stores the map its last fold produces.
+          step.out_shape = t == i ? input_shapes[folded_end]
+                                  : layers_[t]->OutputShape(input_shapes[t]);
+          max_code_bytes =
+              std::max(max_code_bytes, static_cast<size_t>(step.out_shape.Elements()));
         }
+        dataflow_[i].relu = relu;
+        dataflow_[i].max_pool_2x2 = pool;
         linked = true;
         i = j;  // the consumer decides next: extend the chain or break it
       }
@@ -128,12 +155,17 @@ Tensor Network::RunDataflow(InputRef input) {
   int turn = 0;
   for (size_t i = 0; i < layers_.size(); ++i) {
     const DataflowStep& step = dataflow_[i];
+    if (step.mode == DataflowStep::Mode::kFolded) {
+      continue;  // ran inside the emitter's store
+    }
     // A float step returns a fresh tensor — including the consumer that
     // reads live codes and ends a chain; emitters and transforms write the
     // ping-pong buffer they do not read.
     OutputSpec output;
     if (step.mode != DataflowStep::Mode::kFloat) {
       output = OutputSpec::Codes(code_buffers_[turn].data(), step.scale, step.zero_point);
+      output.relu = step.relu;
+      output.max_pool_2x2 = step.max_pool_2x2;
       turn ^= 1;
     }
     Tensor result = layers_[i]->Infer(input, output);
@@ -157,8 +189,22 @@ bool Network::AcceptsQuantizedInput() const {
 
 std::vector<KernelPlanRow> Network::CollectKernelPlanRows() const {
   std::vector<KernelPlanRow> rows;
-  for (const auto& layer : layers_) {
-    layer->AppendKernelPlanRows(&rows);
+  for (size_t i = 0; i < layers_.size(); ++i) {
+    const size_t first = rows.size();
+    layers_[i]->AppendKernelPlanRows(&rows);
+    if (i >= dataflow_.size()) {
+      continue;  // not planned yet
+    }
+    std::string folds;
+    if (dataflow_[i].relu) {
+      folds += "+relu";
+    }
+    if (dataflow_[i].max_pool_2x2) {
+      folds += folds.empty() ? "+pool2x2" : " +pool2x2";
+    }
+    for (size_t r = first; r < rows.size(); ++r) {
+      rows[r].folds = folds;
+    }
   }
   return rows;
 }
@@ -167,6 +213,7 @@ std::string Network::KernelPlanSummary() const {
   const std::vector<KernelPlanRow> rows = CollectKernelPlanRows();
   int narrow = 0;
   int implicit = 0;
+  std::string fused;
   for (const KernelPlanRow& row : rows) {
     if (row.panel_width < GemmNativePanelWidth()) {
       ++narrow;
@@ -174,10 +221,13 @@ std::string Network::KernelPlanSummary() const {
     if (row.implicit) {
       ++implicit;
     }
+    if (!row.folds.empty()) {
+      fused += ", fused " + row.layer + " " + row.folds;
+    }
   }
   std::ostringstream out;
   out << "planner: " << rows.size() << " convs, " << narrow << " narrow-panel(16), "
-      << implicit << " implicit-gather"
+      << implicit << " implicit-gather" << fused
       << (AcceptsQuantizedInput() ? ", u8-direct input" : "");
   return out.str();
 }

@@ -57,7 +57,8 @@ class Network {
   void PlanForward(const TensorShape& input);
 
   // The planner's decisions, one row per plannable kernel (for bench JSON)
-  // and as a condensed one-line summary (for deployment logs).
+  // and as a condensed one-line summary (for deployment logs). A fused
+  // emitter's row names its folds, e.g. "conv1 +relu +pool2x2".
   std::vector<KernelPlanRow> CollectKernelPlanRows() const;
   std::string KernelPlanSummary() const;
 
@@ -65,13 +66,16 @@ class Network {
   // plans. In int8 eval mode (outside calibration capture, and with the
   // global SetDataflowRequantEnabled knob on) the planner links each
   // code-emitting layer to its downstream consumer: when the layers between
-  // them are all code transforms (eval ReLU / MaxPool) and the consumer
-  // both accepts quantized input and carries a calibrated input range, the
-  // emitter's GEMM epilogue requantizes straight to the consumer's uint8
-  // codes and the chain runs through network-owned ping-pong code buffers —
-  // no float activation tensor and no per-forward heap allocation between
-  // the linked layers. Layers outside a link run the float path unchanged,
-  // so uncalibrated models behave exactly as before.
+  // them are folds a conv emitter absorbs (an eval ReLU, then an eval 2x2/2
+  // MaxPool; see Layer) and code transforms (eval MaxPool), and the
+  // consumer both accepts quantized input and carries a calibrated input
+  // range, the emitter's GEMM epilogue requantizes straight to the
+  // consumer's uint8 codes and the chain runs through network-owned
+  // ping-pong code buffers — no float activation tensor and no per-forward
+  // heap allocation between the linked layers. Folded layers leave the
+  // plan: the paper stem (conv1, ReLU, 2x2 pool) is one pooled emission.
+  // Layers outside a link run the float path unchanged, so uncalibrated
+  // models behave exactly as before.
   // RequantLinkCount() reports how many emit links the current plan holds
   // (0 = plan inert, pure float-staged behavior).
   size_t RequantLinkCount() const;
@@ -137,15 +141,18 @@ class Network {
   // One dataflow decision per layer (see RequantLinkCount above): the
   // layer's output spec. kEmit and kTransform both write codes under the
   // consumer's quantization (a transform preserves what the emitter
-  // wrote); kFloat returns a fresh float tensor. A consumer needs no
-  // marker: it is simply a kFloat layer reached while codes are live, and
-  // the runtime hands it the code view.
+  // wrote); an emitter's folds ride along, and the layers they came from
+  // are kFolded, which never run. kFloat returns a fresh float tensor. A
+  // consumer needs no marker: it is simply a kFloat layer reached while
+  // codes are live, and the runtime hands it the code view.
   struct DataflowStep {
-    enum class Mode { kFloat, kEmit, kTransform };
+    enum class Mode { kFloat, kEmit, kTransform, kFolded };
     Mode mode = Mode::kFloat;
     float scale = 1.0f;
     int32_t zero_point = 0;
-    TensorShape out_shape{};
+    bool relu = false;          // kEmit: folded ReLU
+    bool max_pool_2x2 = false;  // kEmit: folded 2x2/2 max-pool
+    TensorShape out_shape{};    // the map the step stores
   };
 
   void PlanDataflow(const std::vector<TensorShape>& input_shapes);

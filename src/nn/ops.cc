@@ -134,13 +134,6 @@ void Col2Im(const float* columns, int height, int width, int channels, int kerne
   }
 }
 
-void ReluCodes(const uint8_t* in, int64_t count, int32_t zero_point, uint8_t* out) {
-  const uint8_t zp = static_cast<uint8_t>(std::min<int32_t>(255, std::max<int32_t>(0, zero_point)));
-  for (int64_t i = 0; i < count; ++i) {
-    out[i] = in[i] > zp ? in[i] : zp;
-  }
-}
-
 void MaxPoolCodes(const uint8_t* in, int height, int width, int channels, int kernel,
                   int stride, uint8_t* out) {
   const int out_h = ConvOutputSize(height, kernel, stride, 0);

@@ -40,15 +40,10 @@ void Im2ColRowsU8(const uint8_t* input, int height, int width, int channels, int
 void Col2Im(const float* columns, int height, int width, int channels, int kernel, int stride,
             int pad, float* input_grad);
 
-// Quantized-code transforms for the zero-float dataflow plan. Both operate
-// on uint8 activation codes (value ~= scale * (code - zero_point)) and are
-// EXACT images of their float counterparts: quantization is monotone, so
-// max-based ops commute with it — relu(v) quantizes to max(code, zp)
-// because quantize(0) == zero_point, and a max-pool window's max code is
-// the code of the window's max value.
-
-// out[i] = max(in[i], zero_point). `in == out` aliasing is allowed.
-void ReluCodes(const uint8_t* in, int64_t count, int32_t zero_point, uint8_t* out);
+// Quantized-code max-pool for the zero-float dataflow plan. It operates on
+// uint8 activation codes (value ~= scale * (code - zero_point)) and is the
+// EXACT image of its float counterpart: quantization is monotone, so a
+// max-pool window's max code is the code of the window's max value.
 
 // Max-pools one NHWC uint8 sample (pad 0, output size
 // ConvOutputSize(dim, kernel, stride, 0), so every window is in bounds),

@@ -21,8 +21,13 @@ class MaxPool2D : public Layer {
 
   // Code transform: max over codes is exact (quantization is monotone),
   // but it skips the argmax capture Backward needs — eval mode only. Infer
-  // takes codes only under the input's own quantization.
+  // takes codes only under the input's own quantization, and splits the
+  // output rows over the inference pool. A 2x2/2 pool right behind a conv
+  // emitter is folded into the conv's store instead (EmitFold).
   bool SupportsCodeTransform() const override { return !training_; }
+  EmitFold FoldIntoEmitter() const override {
+    return !training_ && kernel_ == 2 && stride_ == 2 ? EmitFold::kMaxPool2x2 : EmitFold::kNone;
+  }
   Tensor Infer(const InputRef& input, const OutputSpec& output) override;
 
  private:

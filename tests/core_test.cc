@@ -3,12 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/core/classifier.h"
 #include "src/core/gradcam.h"
 #include "src/core/model.h"
 #include "src/core/model_zoo.h"
 #include "src/img/draw.h"
+#include "src/nn/gemm.h"
 
 namespace percival {
 namespace {
@@ -100,6 +105,75 @@ TEST(ClassifierTest, ThresholdControlsBlocking) {
   AdClassifier never(BuildPercivalNet(config), config, 1.1f);
   EXPECT_TRUE(always.OnDecodedFrame(image.info(), image, "u"));
   EXPECT_FALSE(never.OnDecodedFrame(image.info(), image, "u"));
+}
+
+// A deployed int8 classifier on the paper network at 96 px: u8-direct
+// input, the zero-float plan with the fused stem, and every stage big
+// enough to fan out (banded resize, conv1's pooled emission, the fire
+// convs and code max-pools).
+std::unique_ptr<AdClassifier> DeployedPaperClassifier(const PercivalNetConfig& config) {
+  auto classifier = std::make_unique<AdClassifier>(BuildPercivalNet(config), config);
+  Network& net = classifier->network();
+  Tensor calibration(config.InputShape());
+  for (int64_t i = 0; i < calibration.size(); ++i) {
+    calibration[i] = static_cast<float>(i % 251) / 250.0f;
+  }
+  net.SetCalibrationCapture(true);
+  net.Forward(calibration);
+  net.SetCalibrationCapture(false);
+  classifier->SetPrecision(Precision::kInt8);
+  return classifier;
+}
+
+// The page_sync shape: two paint threads, each classifying on its own
+// classifier, share one inference pool. Each fan-out either owns the
+// pool's job slot or runs inline on its caller, and every decision equals
+// the one a serial run made.
+TEST(ClassifierTest, TwoThreadsShareOneInferencePool) {
+  PercivalNetConfig config = PaperProfile();
+  config.input_size = 96;
+  std::unique_ptr<AdClassifier> classifiers[2] = {DeployedPaperClassifier(config),
+                                                  DeployedPaperClassifier(config)};
+  ASSERT_TRUE(classifiers[0]->u8_direct_active());
+  ASSERT_NE(classifiers[0]->network().KernelPlanSummary().find("fused conv1 +relu +pool2x2"),
+            std::string::npos);
+  std::vector<Bitmap> images;
+  for (int i = 0; i < 3; ++i) {
+    Bitmap image(60 + 50 * i, 140 - 30 * i, Color{static_cast<uint8_t>(40 * i), 90, 200, 255});
+    FillRect(image, Rect{5 * i, 10, 30, 20 + 10 * i},
+             Color{250, 20, static_cast<uint8_t>(60 * i), 255});
+    images.push_back(image);
+  }
+  float serial[2][3];
+  for (int c = 0; c < 2; ++c) {
+    for (int i = 0; i < 3; ++i) {
+      serial[c][i] = classifiers[c]->Classify(images[static_cast<size_t>(i)]).ad_probability;
+    }
+  }
+  ScopedInferencePool pool(2);
+  float pooled[2][2][3];
+  std::vector<std::thread> threads;
+  for (int c = 0; c < 2; ++c) {
+    threads.emplace_back([&, c] {
+      for (int round = 0; round < 2; ++round) {
+        for (int i = 0; i < 3; ++i) {
+          pooled[c][round][i] =
+              classifiers[c]->Classify(images[static_cast<size_t>(i)]).ad_probability;
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  for (int c = 0; c < 2; ++c) {
+    for (int round = 0; round < 2; ++round) {
+      for (int i = 0; i < 3; ++i) {
+        EXPECT_EQ(pooled[c][round][i], serial[c][i])
+            << "classifier " << c << " round " << round << " image " << i;
+      }
+    }
+  }
 }
 
 TEST(AsyncClassifierTest, FirstSightRendersSecondSightBlocks) {

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
 #include "src/img/bitmap.h"
 #include "src/img/codec.h"
 #include "src/img/draw.h"
@@ -293,6 +295,90 @@ TEST(ResizeParityTest, SeparableCoreMatchesPerPixelOracle) {
     }
   }
   EXPECT_EQ(cases, 4 * 12 * 2 * 4);
+}
+
+// --- Banded resize --------------------------------------------------------
+//
+// BitmapToTensorInto and BitmapToTensorU8Into split their output rows over
+// the inference pool, and every band recomputes its own column taps and
+// first horizontal rows. Whatever the pool, the bytes must equal a serial
+// run's (no pool installed): output sizes 1 to 224, 3 and 4 channels, from
+// identity, upscaled and downscaled sources, on pools of 0-3 threads.
+TEST(ResizeBandTest, BandedConversionsMatchSerialOnEveryPool) {
+  Rng rng(2025);
+  const ActivationQuant quant = ComputeActivationQuant(0.0f, 1.0f);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int threads = 1; threads <= 3; ++threads) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  uint64_t fan_outs = 0;
+  for (const int target : {1, 7, 64, 224}) {
+    const std::pair<int, int> shapes[] = {{target, target},
+                                          {std::max(1, target / 3), std::max(1, target / 2)},
+                                          {2 * target + 5, 3 * target + 1}};
+    for (const auto& [w, h] : shapes) {
+      const Bitmap source = RandomBitmap(rng, w, h);
+      for (const int channels : {3, 4}) {
+        const size_t elements = static_cast<size_t>(target) * target * channels;
+        SetInferenceThreadPool(nullptr);
+        std::vector<float> want_floats(elements);
+        BitmapToTensorInto(source, target, channels, want_floats.data());
+        std::vector<uint8_t> want_codes(elements);
+        BitmapToTensorU8Into(source, target, channels, quant.scale, quant.zero_point,
+                             want_codes.data());
+        for (const auto& pool : pools) {
+          const std::string where = std::to_string(w) + "x" + std::to_string(h) + " -> " +
+                                    std::to_string(target) + " c" + std::to_string(channels) +
+                                    " pool " + std::to_string(pool->num_threads());
+          SetInferenceThreadPool(pool.get());
+          ResetGemmGatherStats();
+          std::vector<float> floats(elements, -1.0f);
+          BitmapToTensorInto(source, target, channels, floats.data());
+          std::vector<uint8_t> codes(elements, 0xAB);
+          BitmapToTensorU8Into(source, target, channels, quant.scale, quant.zero_point,
+                               codes.data());
+          fan_outs += GetGemmGatherStats().fan_outs;
+          SetInferenceThreadPool(nullptr);
+          ASSERT_EQ(floats, want_floats) << where;
+          ASSERT_EQ(codes, want_codes) << where;
+        }
+      }
+    }
+  }
+  EXPECT_GT(fan_outs, 0u) << "no resize ever split its rows";
+}
+
+// ClassifyBatch's shape: an outer fan-out over images, each image resized
+// inside it. The nested banded calls run inline (on a pool worker, or on
+// the caller while the outer fan-out owns the pool) and still produce a
+// serial run's bytes.
+TEST(ResizeBandTest, NestedInsideAnImageFanOutMatchesSerial) {
+  Rng rng(2026);
+  const ActivationQuant quant = ComputeActivationQuant(0.0f, 1.0f);
+  const int size = 64;
+  const int channels = 4;
+  const int64_t sample = static_cast<int64_t>(size) * size * channels;
+  std::vector<Bitmap> images;
+  for (int i = 0; i < 6; ++i) {
+    images.push_back(RandomBitmap(rng, 20 + 37 * i, 150 - 19 * i));
+  }
+  const int64_t batch = static_cast<int64_t>(images.size());
+  std::vector<uint8_t> want(static_cast<size_t>(batch * sample));
+  for (int64_t i = 0; i < batch; ++i) {
+    BitmapToTensorU8Into(images[static_cast<size_t>(i)], size, channels, quant.scale,
+                         quant.zero_point, want.data() + i * sample);
+  }
+  ThreadPool pool(3);
+  SetInferenceThreadPool(&pool);
+  std::vector<uint8_t> got(want.size(), 0xAB);
+  InferenceParallelFor(batch, sample * kResizeMacsPerElement, [&](int64_t begin, int64_t end) {
+    for (int64_t i = begin; i < end; ++i) {
+      BitmapToTensorU8Into(images[static_cast<size_t>(i)], size, channels, quant.scale,
+                           quant.zero_point, got.data() + i * sample);
+    }
+  });
+  SetInferenceThreadPool(nullptr);
+  EXPECT_EQ(got, want);
 }
 
 // A half-way value must round away from zero, as lround does: resampling a

@@ -71,7 +71,7 @@ TEST(FusedEpilogueTest, ConvBiasReluMatchesUnfusedOracle) {
     expected = relu.Forward(expected);
 
     conv.set_use_gemm(true);
-    Tensor fused = conv.Infer(input, OutputSpec{}, GemmEpilogue::kBiasRelu);
+    Tensor fused = conv.Infer(input, OutputSpec{}.WithRelu());
 
     EXPECT_LE(MaxAbsDiff(expected, fused), kTolerance)
         << conv.Name() << " on " << input.shape().ToString();

@@ -215,14 +215,12 @@ TEST(ImplicitGatherTest, Int8RequantCodesBitExactAcrossLadder) {
       std::vector<uint8_t> mat_codes(static_cast<size_t>(out_elems), 0);
       std::vector<uint8_t> impl_codes(static_cast<size_t>(out_elems), 0xcd);
       const int64_t sample = out_elems / out_shape.n;
-      materialized.Infer(input,
-                         OutputSpec::Codes(mat_codes.data(), out_quant.scale,
-                                           out_quant.zero_point, out_shape.c, sample),
-                         GemmEpilogue::kBiasRelu);
-      implicit.Infer(input,
-                     OutputSpec::Codes(impl_codes.data(), out_quant.scale,
-                                       out_quant.zero_point, out_shape.c, sample),
-                     GemmEpilogue::kBiasRelu);
+      materialized.Infer(input, OutputSpec::Codes(mat_codes.data(), out_quant.scale,
+                                                  out_quant.zero_point, out_shape.c, sample)
+                                    .WithRelu());
+      implicit.Infer(input, OutputSpec::Codes(impl_codes.data(), out_quant.scale,
+                                              out_quant.zero_point, out_shape.c, sample)
+                                .WithRelu());
       EXPECT_EQ(mat_codes, impl_codes) << label;
     }
   }

@@ -2,32 +2,39 @@
 // plan: bit-exactness of GemmInt8PackedExU8 against the templated scalar
 // oracle on every compiled SIMD tier at both panel widths, the defining
 // identity (requant store == float store + QuantizeActivations, to the
-// byte), the code transforms (MaxPoolCodes against the byte-loop oracle it
-// replaced, ReluCodes against max with the clamped zero point), the layer
-// inference entry over every input/output spec against the staged oracle,
-// plan engagement/inertness across calibration states, bit-identical logits
-// between the zero-float plan and the float-staged int8 path, a
-// steady-state counter proof that a planned frame allocates no float
-// activation tensor and no heap between codes-in and logits-out, and the
-// 64-image float-vs-int8 accuracy guard re-run with the plan active.
+// byte), the ReLU epilogue's code property (max with the zero point), the
+// code max-pool (MaxPoolCodes against the byte-loop oracle it replaced, and
+// its row split over the inference pool), the layer inference entry over
+// every input/output spec against the staged oracle, the fused stem (a conv
+// that absorbs its ReLU, and its 2x2 pool on the implicit gather) against
+// the staged oracle on every pool and tier, plan engagement/inertness
+// across calibration states, bit-identical logits between the zero-float
+// plan and the float-staged int8 path, a steady-state counter proof that a
+// planned frame allocates no float activation tensor and no heap between
+// codes-in and logits-out, and the 64-image float-vs-int8 accuracy guard
+// re-run with the plan active.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/base/rng.h"
+#include "src/base/thread_pool.h"
 #include "src/core/model.h"
 #include "src/img/resize.h"
+#include "src/nn/activation.h"
 #include "src/nn/conv.h"
 #include "src/nn/fire.h"
 #include "src/nn/gemm.h"
 #include "src/nn/network.h"
 #include "src/nn/ops.h"
 #include "src/nn/pool.h"
+#include "src/nn/simd.h"
 #include "src/nn/tensor.h"
 #include "src/webgen/adgen.h"
 #include "src/webgen/contentgen.h"
@@ -279,26 +286,77 @@ TEST(CodeTransformTest, MaxPoolForwardCodesEqualsQuantizedFloatForward) {
   }
 }
 
-// ReluCodes is max(in, zp) with the zero point clamped to a code, in place
-// and out of place, for zero points outside [0, 255] too.
-TEST(CodeTransformTest, ReluCodesIsMaxWithClampedZeroPoint) {
-  Rng rng(1315);
-  for (const int32_t zero_point : {-3, 0, 1, 128, 254, 255, 300}) {
-    const uint8_t zp = static_cast<uint8_t>(std::clamp(zero_point, 0, 255));
-    for (const int64_t count : {0, 1, 15, 16, 17, 63, 1000}) {
-      const std::vector<uint8_t> in = RandomCodes(count, rng);
-      std::vector<uint8_t> want(in.size());
-      for (size_t i = 0; i < in.size(); ++i) {
-        want[i] = std::max(in[i], zp);
+// The code max-pool transform splits its output rows over the inference
+// pool: on pools of 0-3 threads, odd and even heights, batch 1 and 3, the
+// codes equal a serial run's, and the paper's fire-stage map (56x56x128)
+// does fan out.
+TEST(CodeTransformTest, MaxPoolRowSplitMatchesSerialOnEveryPool) {
+  const ActivationQuant quant{0.05f, 11};
+  Rng rng(1316);
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int threads = 1; threads <= 3; ++threads) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const PoolGeometry g : kPoolGeometries) {
+    for (const TensorShape shape : {TensorShape{1, 56, 56, 128}, TensorShape{3, 29, 17, 24},
+                                    TensorShape{3, 30, 31, 64}}) {
+      MaxPool2D pool(g.kernel, g.stride);
+      pool.SetTrainingMode(false);
+      const std::vector<uint8_t> codes = RandomCodes(shape.Elements(), rng);
+      const QuantizedTensorView view{codes.data(), shape, quant.scale, quant.zero_point};
+      const size_t out_size = static_cast<size_t>(pool.OutputShape(shape).Elements());
+      std::vector<uint8_t> want(out_size, 0x55);
+      SetInferenceThreadPool(nullptr);
+      pool.Infer(view, OutputSpec::Codes(want.data(), quant.scale, quant.zero_point));
+      for (const auto& thread_pool : pools) {
+        SetInferenceThreadPool(thread_pool.get());
+        ResetGemmGatherStats();
+        std::vector<uint8_t> got(out_size, 0xAA);
+        pool.Infer(view, OutputSpec::Codes(got.data(), quant.scale, quant.zero_point));
+        const uint64_t fan_outs = GetGemmGatherStats().fan_outs;
+        SetInferenceThreadPool(nullptr);
+        ASSERT_EQ(got, want) << shape.ToString() << " k=" << g.kernel << " s=" << g.stride
+                             << " pool " << thread_pool->num_threads();
+        if (g.kernel == 2 && g.stride == 2 && shape.h == 56 && thread_pool->num_threads() > 1) {
+          EXPECT_GT(fan_outs, 0u) << "the fire-stage pool did not split";
+        }
       }
-      std::vector<uint8_t> out(in.size(), 0xAA);
-      ReluCodes(in.data(), count, zero_point, out.data());
-      EXPECT_EQ(out, want) << "out of place, zp=" << zero_point << " count=" << count;
-      std::vector<uint8_t> in_place = in;
-      ReluCodes(in_place.data(), count, zero_point, in_place.data());
-      EXPECT_EQ(in_place, want) << "in place, zp=" << zero_point << " count=" << count;
     }
   }
+}
+
+// The ReLU a fused emitter absorbs is its kBiasRelu epilogue, and in codes
+// it is exactly max(code, zero point) of the kBias store (quantize(0) ==
+// zp, and quantization is monotone): on the intrinsic tier and the scalar
+// oracle, at both panel widths, for zero points across the code range.
+TEST(RequantKernelTest, ReluEpilogueIsMaxWithZeroPoint) {
+  Rng shape_rng(1315);
+  int trial = 0;
+  int clamped = 0;
+  for (const int32_t zero_point : {0, 1, 128, 254, 255}) {
+    for (const int pw : {kGemmTileNMin, GemmNativePanelWidth()}) {
+      for (const bool force_scalar : {false, true}) {
+        RequantCase c = MakeCase(shape_rng, 300 + trial++, pw);
+        c.out_quant.zero_point = zero_point;
+        const uint8_t zp = static_cast<uint8_t>(zero_point);
+        SetGemmForceScalar(force_scalar);
+        std::vector<uint8_t> plain(static_cast<size_t>(c.m) * c.n, 0xAA);
+        std::vector<uint8_t> relu(plain.size(), 0x55);
+        GemmInt8PackedExU8(c.m, c.a.data(), c.packed, c.quant, c.bias.data(),
+                           GemmEpilogue::kBias, c.out_quant, plain.data(), c.n);
+        GemmInt8PackedExU8(c.m, c.a.data(), c.packed, c.quant, c.bias.data(),
+                           GemmEpilogue::kBiasRelu, c.out_quant, relu.data(), c.n);
+        SetGemmForceScalar(false);
+        for (size_t i = 0; i < plain.size(); ++i) {
+          ASSERT_EQ(relu[i], std::max(plain[i], zp))
+              << "zp=" << zero_point << " pw=" << pw << " scalar=" << force_scalar << " at "
+              << i;
+          clamped += plain[i] < zp ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(clamped, 100) << "too few negative values reached the clamp";
 }
 
 // ------------------------------------------------ layer inference entry ---
@@ -590,6 +648,198 @@ TEST(DataflowPlanTest, SteadyStateAllocatesNoFloatActivationTensor) {
       static_cast<uint64_t>(logits.size()) * 16;  // conv_final map is tiny vs any feature map
   EXPECT_LE(after.elements - before.elements, tail_elements + 64)
       << "a float activation tensor was allocated between codes and logits";
+}
+
+// ------------------------------------------------------------ fused stem --
+
+// Restores the uncapped ladder, force-scalar off and no inference pool
+// however a test exits.
+struct DispatchGuard {
+  ~DispatchGuard() {
+    SetSimdTierCap(SimdTier::kVnni);
+    SetGemmForceScalar(false);
+    SetInferenceThreadPool(nullptr);
+  }
+};
+
+// The paper's front end at test size: conv 3x3/2 pad 1, ReLU, 2x2/2
+// max-pool, then a fire module and a 1x1 head. C_in 4 runs the implicit
+// gather (kernel * C_in = 12 is K-unit aligned) and folds both the ReLU and
+// the pool; C_in 3 runs the materialized one (9 is not), folds the ReLU and
+// keeps the pool a code transform.
+Network StemNet(int in_channels, uint64_t seed) {
+  Rng rng(seed);
+  Network net;
+  net.Add<Conv2D>(in_channels, 32, 3, 2, 1, rng, "conv1");
+  net.Add<Relu>();
+  net.Add<MaxPool2D>(2, 2);
+  net.Add<FireModule>(32, 8, 16, rng, "fire1");
+  net.Add<Conv2D>(32, 2, 1, 1, 0, rng, "head");
+  net.Add<GlobalAvgPool>();
+  return net;
+}
+
+struct StemCase {
+  int in_channels;
+  int in_size;  // 80 -> a 40-row conv map (even), 82 -> 41 rows (odd: the pool drops one)
+  int batch;
+};
+
+// A calibrated int8 stem network fed codes: logits with the plan off (the
+// staged oracle) and on (the fused stem), and the plan's rows.
+class StemRun {
+ public:
+  explicit StemRun(const StemCase& sc) : net_(StemNet(sc.in_channels, 700 + sc.in_size)) {
+    const TensorShape shape{sc.batch, sc.in_size, sc.in_size, sc.in_channels};
+    net_.SetTrainingMode(false);
+    Calibrate(net_, shape);
+    net_.SetPrecision(Precision::kInt8);
+    float lo = 0.0f;
+    float hi = 1.0f;
+    EXPECT_TRUE(net_.layer(0).InputCalibration(&lo, &hi));
+    const ActivationQuant quant = ComputeActivationQuant(lo, hi);
+    const Tensor input = RandomTensor(shape, 98 + sc.in_size, 0.0f, 1.0f);
+    codes_.resize(static_cast<size_t>(input.size()));
+    QuantizeActivations(input.data(), input.size(), quant, codes_.data());
+    view_ = QuantizedTensorView{codes_.data(), shape, quant.scale, quant.zero_point};
+  }
+
+  Tensor Forward(bool plan) {
+    SetDataflowRequantEnabled(plan);
+    Tensor logits = net_.ForwardQuantized(view_);
+    SetDataflowRequantEnabled(true);
+    return logits;
+  }
+  Network& net() { return net_; }
+
+ private:
+  Network net_;
+  std::vector<uint8_t> codes_;
+  QuantizedTensorView view_{};
+};
+
+std::vector<StemCase> StemCases() {
+  std::vector<StemCase> cases;
+  for (const int in_channels : {3, 4}) {
+    for (const int in_size : {80, 82}) {
+      for (const int batch : {1, 3}) {
+        cases.push_back({in_channels, in_size, batch});
+      }
+    }
+  }
+  return cases;
+}
+
+std::string StemLabel(const StemCase& sc) {
+  return "c" + std::to_string(sc.in_channels) + " " + std::to_string(sc.in_size) + "px n" +
+         std::to_string(sc.batch);
+}
+
+// The fused stem is bit-identical to the staged int8 oracle (conv to
+// floats, float ReLU, float pool, requantized by the consumer) on both
+// gathers, even and odd conv heights, batch 1 and 3, and pools of 0-3
+// threads; the plan folds the ReLU (and, on the implicit gather, the pool)
+// into conv1 and keeps both requant links.
+TEST(FusedStemTest, BitIdenticalToStagedOracleOnEveryPool) {
+  DispatchGuard guard;
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  for (int threads = 1; threads <= 3; ++threads) {
+    pools.push_back(std::make_unique<ThreadPool>(threads));
+  }
+  for (const StemCase& sc : StemCases()) {
+    StemRun run(sc);
+    const Tensor staged = run.Forward(false);
+    ASSERT_EQ(run.net().RequantLinkCount(), 0u);
+    for (int threads = 0; threads <= 3; ++threads) {
+      SetInferenceThreadPool(threads == 0 ? nullptr : pools[threads - 1].get());
+      ResetGemmGatherStats();
+      const Tensor fused = run.Forward(true);
+      const uint64_t fan_outs = GetGemmGatherStats().fan_outs;
+      SetInferenceThreadPool(nullptr);
+      const std::string label = StemLabel(sc) + " pool " + std::to_string(threads);
+      ASSERT_EQ(run.net().RequantLinkCount(), 2u) << label;
+      const std::vector<KernelPlanRow> rows = run.net().CollectKernelPlanRows();
+      ASSERT_EQ(rows.front().layer, "conv1");
+      EXPECT_EQ(rows.front().folds, sc.in_channels == 4 ? "+relu +pool2x2" : "+relu") << label;
+      if (threads > 1) {
+        EXPECT_GT(fan_outs, 0u) << label << " never fanned out";
+      }
+      ASSERT_TRUE(staged.shape() == fused.shape()) << label;
+      for (int64_t i = 0; i < staged.size(); ++i) {
+        ASSERT_EQ(staged[i], fused[i]) << label << " logit " << i;
+      }
+    }
+  }
+}
+
+// Same identity down the tier ladder, each rung also with force-scalar on,
+// on a pool of 3: the pooled band store runs every kernel family.
+TEST(FusedStemTest, BitIdenticalToStagedOracleDownTheTierLadder) {
+  DispatchGuard guard;
+  ThreadPool pool(3);
+  for (const StemCase& sc : StemCases()) {
+    if (sc.batch != 3) {
+      continue;
+    }
+    StemRun run(sc);
+    for (int t = static_cast<int>(DetectedSimdTier()); t >= 0; --t) {
+      SetSimdTierCap(static_cast<SimdTier>(t));
+      for (const bool force_scalar : {false, true}) {
+        SetGemmForceScalar(force_scalar);
+        SetInferenceThreadPool(nullptr);
+        const Tensor staged = run.Forward(false);
+        SetInferenceThreadPool(&pool);
+        const Tensor fused = run.Forward(true);
+        SetInferenceThreadPool(nullptr);
+        SetGemmForceScalar(false);
+        const std::string label = StemLabel(sc) + " " + SimdTierName(static_cast<SimdTier>(t)) +
+                                  (force_scalar ? " force-scalar" : "");
+        ASSERT_EQ(run.net().RequantLinkCount(), 2u) << label;
+        ASSERT_TRUE(staged.shape() == fused.shape()) << label;
+        for (int64_t i = 0; i < staged.size(); ++i) {
+          ASSERT_EQ(staged[i], fused[i]) << label << " logit " << i;
+        }
+      }
+    }
+  }
+}
+
+// The deployed paper profile (a trailer-style calibration load, which also
+// arms GAP-on-codes) plans conv1 as one pooled emission: the ReLU and the
+// pool leave the plan, the requant links stay 8, the kernel-plan summary
+// names the fold, and the ping-pong code buffers hold the largest stored
+// map — a 56x56x128 fire output, not conv1's 112x112x64 map, which is never
+// written whole. The original SqueezeNet folds only the ReLU: its 3x3/2
+// pools stay code transforms.
+TEST(FusedStemTest, PaperProfilePlanFoldsTheStem) {
+  const PercivalNetConfig config = PaperProfile();
+  Network net = BuildPercivalNet(config);
+  net.SetTrainingMode(false);
+  std::vector<ActivationCalibration> entries(net.CalibrationSlots(),
+                                             ActivationCalibration{0.0f, 1.0f, true});
+  ASSERT_TRUE(net.LoadCalibration(entries));
+  net.SetPrecision(Precision::kInt8);
+  net.PlanForward(config.InputShape());
+  EXPECT_EQ(net.RequantLinkCount(), 8u);
+  const std::vector<KernelPlanRow> rows = net.CollectKernelPlanRows();
+  ASSERT_EQ(rows.front().layer, "conv1");
+  EXPECT_EQ(rows.front().folds, "+relu +pool2x2");
+  for (size_t r = 1; r < rows.size(); ++r) {
+    EXPECT_TRUE(rows[r].folds.empty()) << rows[r].layer;
+  }
+  EXPECT_NE(net.KernelPlanSummary().find("fused conv1 +relu +pool2x2"), std::string::npos)
+      << net.KernelPlanSummary();
+  EXPECT_EQ(net.CodeBufferCapacity(), 2u * 56 * 56 * 128);
+
+  Network original = BuildOriginalSqueezeNet(config.input_channels, 2, 1);
+  original.SetTrainingMode(false);
+  std::vector<ActivationCalibration> original_entries(original.CalibrationSlots(),
+                                                      ActivationCalibration{0.0f, 1.0f, true});
+  ASSERT_TRUE(original.LoadCalibration(original_entries));
+  original.SetPrecision(Precision::kInt8);
+  original.PlanForward(config.InputShape());
+  EXPECT_EQ(original.CollectKernelPlanRows().front().folds, "+relu");
+  EXPECT_EQ(original.RequantLinkCount(), 10u);
 }
 
 // -------------------------------------------------------- accuracy guard --
